@@ -352,7 +352,6 @@ def prepare_backend_throughput(
     n_traces: int = 150,
     batch_size: int = DEFAULT_BATCH_SIZE,
     transport: Optional[str] = None,
-    codec: Optional[str] = None,
     engine: Optional[str] = None,
     shard_min_events: Optional[int] = None,
     tx_per_trace: int = 20,
@@ -363,8 +362,8 @@ def prepare_backend_throughput(
     merge) from workload execution, which is what actually distinguishes
     the thread and process backends: end-to-end workload timings blend
     in tracked execution that is identical across backends.  The
-    ``transport``/``codec`` knobs select the process backend's IPC
-    channel and wire encoding for the transport ablation; ``engine``/
+    ``transport`` knob selects the process backend's IPC channel (and
+    with it the wire encoding) for the transport ablation; ``engine``/
     ``shard_min_events`` select the replay engine and the epoch-shard
     threshold for the columnar/sharding sweeps (``tx_per_trace`` sizes
     individual traces — sharding only pays on large ones).
@@ -376,7 +375,6 @@ def prepare_backend_throughput(
         backend=backend,
         batch_size=batch_size,
         transport=transport,
-        codec=codec,
         engine=engine,
         shard_min_events=shard_min_events,
     )
@@ -529,7 +527,7 @@ def make_interval_heavy_cols(
     stride), one wide CLWB spanning every segment the run created, an
     SFENCE, then ``checks`` strided isPersist checkers over the epoch —
     the shape where batched ``assign_codes_many``, the code-level flush
-    remap and the vectorized persist pre-test all fire on every epoch.
+    remap and the batched persist pre-test all fire on every epoch.
     Bases rotate so earlier epochs stay live in the shadow and interval
     queries scan real segment populations.
     """

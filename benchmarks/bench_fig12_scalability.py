@@ -36,8 +36,8 @@ from repro.core.engine_columnar import ENGINE_NAMES
 THREADS = [1, 2, 4]
 WORKERS = [1, 2, 4]
 BACKENDS = ("thread", "process")
-#: transport x codec combinations the process backend supports
-TRANSPORT_COMBOS = [("queue", "pickle"), ("queue", "binary"), ("shm", "binary")]
+#: process-backend transports with the wire codec each implies
+TRANSPORT_COMBOS = [("queue", "pickle"), ("shm", "binary")]
 #: the epoch-sharding sweep ships a few large traces instead of many
 #: small ones: sharding only engages above the per-trace threshold
 SHARD_TRACES = 8
@@ -144,15 +144,13 @@ def test_fig12d_backend_shape(benchmark):
 
 @pytest.mark.parametrize("transport,codec", TRANSPORT_COMBOS)
 def test_fig12f_transport_ablation(benchmark, bench_rounds, transport, codec):
-    """(f) transport/codec ablation: the same pure-checking drain as
-    fig12d, process backend, 4 workers, varying only the IPC channel
-    (queue vs shm ring) and the wire encoding (pickle vs binary)."""
+    """(f) transport ablation: the same pure-checking drain as fig12d,
+    process backend, 4 workers, varying only the IPC channel (queue vs
+    shm ring) and with it the wire encoding (pickle vs binary)."""
     pedantic(
         benchmark,
         bench_rounds,
-        lambda: prepare_backend_throughput(
-            "process", 4, transport=transport, codec=codec
-        ),
+        lambda: prepare_backend_throughput("process", 4, transport=transport),
     )
     record("fig12-transport", (transport, codec), benchmark)
 
@@ -234,7 +232,7 @@ def test_fig12h_sharded_throughput(benchmark, bench_rounds, backend, workers):
     split at fence boundaries across the worker pool (columnar engine,
     ``shard_min_events=1``); the process rows use the shm+binary
     transport, the pairing the sharding design targets."""
-    transport, codec = ("shm", "binary") if backend == "process" else (None, None)
+    transport = "shm" if backend == "process" else None
     pedantic(
         benchmark,
         bench_rounds,
@@ -243,7 +241,6 @@ def test_fig12h_sharded_throughput(benchmark, bench_rounds, backend, workers):
             workers,
             n_traces=SHARD_TRACES,
             transport=transport,
-            codec=codec,
             engine="columnar",
             shard_min_events=1,
             tx_per_trace=SHARD_TX_PER_TRACE,

@@ -65,7 +65,6 @@ def prepare_shard_drain(n_workers: int, dispatch: str = "arena"):
         num_workers=n_workers,
         backend="process",
         transport="shm",
-        codec="binary",
         engine="columnar",
         shard_min_events=1,
     )
@@ -116,7 +115,7 @@ def _dispatch_bytes(tx_per_trace: int) -> dict:
     [trace] = make_checking_traces(1, tx_per_trace=tx_per_trace)
     n_events = len(trace.events)
     with WorkerPool(num_workers=2, backend="process", transport="shm",
-                    codec="binary", engine="columnar", shard_min_events=1,
+                    engine="columnar", shard_min_events=1,
                     metrics=registry) as pool:
         pool.submit(trace)
         result = pool.drain()

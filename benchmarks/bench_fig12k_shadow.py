@@ -1,13 +1,12 @@
-"""Fig 12k: vectorized shadow plane — array interval store vs object map.
+"""Fig 12k: array shadow plane — array interval store vs object map.
 
 The ``--shadow array`` knob swaps the per-segment object
 :class:`IntervalMap` inside the columnar engine's shadow memory for a
 struct-of-arrays interval store (``core/interval_array.py``) whose
 batched epoch operations — sort-and-sweep write-run assignment, the
-code-level silent/fused flush remap, and the vectorized isPersist
+code-level silent/fused flush remap, and the batched isPersist
 pre-test — replace thousands of per-range carve/walk calls with a
-handful of column passes (numpy where available, batched ``array('q')``
-scalar sweeps otherwise).
+handful of batched sweeps over ``array('q')`` columns.
 
 This ablation isolates exactly what the knob changes: columns are
 pre-decoded and epoch coalescing is off, so the timed region is the
@@ -27,7 +26,6 @@ from _harness import (
     record,
 )
 from repro.core.interval_array import SHADOW_NAMES
-from repro.core.npcompat import load_numpy
 
 
 @pytest.mark.parametrize("shadow", SHADOW_NAMES)
@@ -47,16 +45,13 @@ def test_fig12k_shadow_shape(benchmark):
     """The tentpole claim: the array shadow validates interval-heavy
     epochs >= 2x faster than the object map, measured with interleaved
     min-of-rounds on a fixed workload size, independent of the
-    smoke-scaling env knobs.  Without numpy the batched scalar sweeps
-    still win, but the floor is relaxed to absorb the noisier
-    pure-Python timing on shared CI hosts."""
+    smoke-scaling env knobs."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     best = measure_shadow_speedup()
     speedup = best["object"] / best["array"]
-    floor = 2.0 if load_numpy() is not None else 1.5
-    assert speedup >= floor, (
+    assert speedup >= 2.0, (
         f"array shadow {speedup:.2f}x object on the interval-heavy micro "
-        f"workload; the vectorized-shadow claim needs >= {floor}x ({best})"
+        f"workload; the array-shadow claim needs >= 2.0x ({best})"
     )
 
 

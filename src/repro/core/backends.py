@@ -56,19 +56,18 @@ deterministically: workers consult the session's fault plan at
 re-injected.  The inline backend is the deterministic reference and has
 no fault points.
 
-Transports and codecs
----------------------
+Transports
+----------
 *How* batches cross the process boundary is independent of the
 supervision above and is selected per :data:`TRANSPORT_NAMES`:
 
 ``queue`` (default)
     ``multiprocessing.Queue`` — a feeder thread pickles each message
-    into a pipe.  Pairs with either codec: ``pickle`` (the tuple wire
-    as-is) or ``binary`` (the struct-packed codec from
-    :mod:`repro.core.traceio`, 3-5x fewer bytes per trace).
+    (the tuple wire as-is) into a pipe.
 ``shm``
     Shared-memory ring buffers (:mod:`repro.core.shm_ring`): one task
-    ring, one result ring, messages always in the binary codec.  No
+    ring, one result ring, messages in the struct-packed binary codec
+    from :mod:`repro.core.traceio` (3-5x fewer bytes per trace).  No
     feeder threads, no pickling — a batch is one ``bytes`` copy in and
     one copy out.
 
@@ -131,9 +130,6 @@ BACKEND_NAMES = ("inline", "thread", "process")
 
 #: Transports for the process backend's task/result channels.
 TRANSPORT_NAMES = ("queue", "shm")
-
-#: Wire codecs for the process backend (``shm`` implies ``binary``).
-CODEC_NAMES = ("pickle", "binary")
 
 #: The degradation ladder: who picks up the work when a backend cannot
 #: be spawned or is declared unhealthy mid-run.
@@ -287,7 +283,6 @@ def make_backend(
     faults: Optional[FaultPlan] = None,
     metrics: Optional[MetricsRegistry] = None,
     transport: Optional[str] = None,
-    codec: Optional[str] = None,
     cache_size: Optional[int] = None,
     engine: Optional[str] = None,
     shadow: Optional[str] = None,
@@ -305,10 +300,10 @@ def make_backend(
     ``metrics`` is the caller-owned submit-side registry; workers get
     registries of their own (see ``metrics_registries``).
 
-    ``transport``/``codec`` select the process backend's IPC channel
-    and wire encoding (``None``: ``PMTEST_TRANSPORT`` or the
-    defaults); both are ignored by the in-process backends, which move
-    zero wire bytes by construction.
+    ``transport`` selects the process backend's IPC channel, and with
+    it the wire encoding (``None``: ``PMTEST_TRANSPORT`` or the
+    default); the in-process backends ignore it, moving zero wire
+    bytes by construction.
 
     ``cache_size`` is the per-worker verdict-cache capacity (0
     disables it; ``None``: resolve the ``PMTEST_VERDICT_CACHE``
@@ -370,7 +365,6 @@ def make_backend(
             faults=faults,
             metrics=metrics,
             transport=transport,
-            codec=codec,
             cache_size=cache_size,
             engine=engine,
             shadow=shadow,
@@ -403,7 +397,6 @@ def make_backend_with_fallback(
     faults: Optional[FaultPlan] = None,
     metrics: Optional[MetricsRegistry] = None,
     transport: Optional[str] = None,
-    codec: Optional[str] = None,
     cache_size: Optional[int] = None,
     engine: Optional[str] = None,
     shadow: Optional[str] = None,
@@ -432,7 +425,6 @@ def make_backend_with_fallback(
                 faults=faults,
                 metrics=metrics,
                 transport=transport,
-                codec=codec,
                 cache_size=cache_size,
                 engine=engine,
                 shadow=shadow,
@@ -966,7 +958,7 @@ def _process_worker(*args, **kwargs) -> None:
 
 def _process_worker_loop(
     index: int, task_ch, result_ch, rules, faults, metrics_level=None,
-    transport: str = "queue", codec: str = "pickle", cache_size: int = 0,
+    transport: str = "queue", cache_size: int = 0,
     engine_name: str = "object",
     trace_ctx: Optional[Tuple[int, int]] = None,
     shadow_name: str = "object",
@@ -990,9 +982,10 @@ def _process_worker_loop(
     once and carry this process's own pid).
 
     ``task_ch``/``result_ch`` are ``multiprocessing`` queues for the
-    ``queue`` transport or :class:`~repro.core.shm_ring.ShmRing`\\ s for
-    ``shm``; with the ``binary`` codec every message is one ``bytes``
-    value of :func:`~repro.core.traceio.decode_message`'s format.
+    ``queue`` transport (pickled tuple wires) or
+    :class:`~repro.core.shm_ring.ShmRing`\\ s for ``shm``, where every
+    message is one ``bytes`` value of
+    :func:`~repro.core.traceio.decode_message`'s format.
     """
     registry = None
     if metrics_level is not None:
@@ -1007,7 +1000,9 @@ def _process_worker_loop(
     engine = make_engine(
         engine_name, rules, registry, cache=cache, shadow=shadow_name
     )
-    binary = codec == "binary"
+    # the transport fixes the codec: shm rings carry binary messages,
+    # queues carry pickled tuple wires
+    binary = transport == "shm"
     # The columnar engine decodes binary batches straight into columns
     # (zero per-event objects); epoch shards in a task batch decode
     # columnar regardless, which is safe because only columnar pools
@@ -1015,7 +1010,7 @@ def _process_worker_loop(
     columnar = engine_name == "columnar"
 
     def ship(message) -> None:
-        if transport == "shm":
+        if binary:
             try:
                 result_ch.push(message)
             except RingClosed:  # backend is stopping; vanish quietly
@@ -1028,16 +1023,11 @@ def _process_worker_loop(
             registry.counter("codec.worker_result_bytes").inc(nbytes)
 
     while True:
-        if transport == "shm":
+        if binary:
             try:
                 raw = task_ch.pop()
             except RingClosed:
                 return
-        else:
-            raw = task_ch.get()
-            if raw is None:
-                return
-        if binary:
             try:
                 message = decode_message(raw, columnar=columnar)
             except TraceDecodeError:
@@ -1054,7 +1044,9 @@ def _process_worker_loop(
             if registry is not None:
                 registry.counter("codec.worker_task_bytes").inc(len(raw))
         else:
-            pairs = raw  # [(seq, tuple wire), ...]
+            pairs = task_ch.get()  # [(seq, tuple wire), ...]
+            if pairs is None:
+                return
         seqs = [seq for seq, _ in pairs]
         if binary:
             ack = encode_ack_message(index, seqs)
@@ -1142,10 +1134,10 @@ class ProcessBackend:
     outstanding count to hit zero and merge.
 
     The channels are ``multiprocessing`` queues (``transport="queue"``)
-    or shared-memory rings (``transport="shm"``); with the ``binary``
-    codec (always on for ``shm``) batches travel as struct-packed byte
-    strings instead of pickled tuples.  Outstanding traces are retained
-    as *tuple* wires in every combination, so requeueing and the
+    or shared-memory rings (``transport="shm"``), where batches travel
+    as struct-packed byte strings instead of pickled tuples.
+    Outstanding traces are retained as *tuple* wires on both
+    transports, so requeueing and the
     corrupted-in-transit diagnosis below are transport-independent.
 
     Supervision: wires are retained in ``_incomplete`` until their
@@ -1171,7 +1163,6 @@ class ProcessBackend:
         faults: Optional[FaultPlan] = None,
         metrics: Optional[MetricsRegistry] = None,
         transport: Optional[str] = None,
-        codec: Optional[str] = None,
         ring_bytes: int = DEFAULT_RING_BYTES,
         cache_size: int = 0,
         engine: Optional[str] = None,
@@ -1197,15 +1188,6 @@ class ProcessBackend:
         self.shadow_name = resolve_shadow_name(shadow)
         self._batch = AdaptiveBatch(batch_size)
         self._transport = resolve_transport_name(transport)
-        if codec is None:
-            codec = "binary" if self._transport == "shm" else "pickle"
-        if codec not in CODEC_NAMES:
-            raise ValueError(
-                f"unknown wire codec {codec!r}; expected one of {CODEC_NAMES}"
-            )
-        if self._transport == "shm" and codec != "binary":
-            raise ValueError("the shm transport requires the binary codec")
-        self._codec = codec
         self._rules = rules
         self._metrics = metrics
         #: accumulated worker-registry deltas plus collector-side
@@ -1283,7 +1265,7 @@ class ProcessBackend:
             args=(index,
                   self._task_ring if shm else self._task_q,
                   self._result_ring if shm else self._result_q,
-                  self._rules, faults, level, self._transport, self._codec,
+                  self._rules, faults, level, self._transport,
                   self._cache_size, self.engine_name, self._trace_ctx,
                   self.shadow_name),
             name=f"pmtest-checker-{index}",
@@ -1307,7 +1289,9 @@ class ProcessBackend:
 
     @property
     def codec(self) -> str:
-        return self._codec
+        """Wire codec, fixed by the transport: ``shm`` ships binary
+        PMTB messages, ``queue`` pickled tuple wires."""
+        return "binary" if self._transport == "shm" else "pickle"
 
     @property
     def dispatched(self) -> int:
@@ -1356,7 +1340,7 @@ class ProcessBackend:
                 # codec needs its framing intact to *encode*, so the
                 # poison there is an opcode no decoder accepts.
                 corrupt = (
-                    corrupt_wire if self._codec == "pickle"
+                    corrupt_wire if self._transport == "queue"
                     else corrupt_wire_framed
                 )
                 wire = corrupt(wire)
@@ -1388,21 +1372,19 @@ class ProcessBackend:
         """
         metrics = self._metrics
         nbytes = None
-        if self._codec == "binary":
+        if self._transport == "shm":
             payload = encode_task_message(batch)
             nbytes = len(payload)
+            try:
+                self._task_ring.push(payload, timeout=timeout)
+            except (TimeoutError, RingClosed):
+                return False
         else:
             payload = batch
             if metrics is not None and metrics.full:
                 # The pickle wire's size is only observable by paying
                 # for a pickle, so it is metered at full level only.
                 nbytes = len(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
-        if self._transport == "shm":
-            try:
-                self._task_ring.push(payload, timeout=timeout)
-            except (TimeoutError, RingClosed):
-                return False
-        else:
             self._task_q.put(payload)
         if metrics is not None:
             counter = metrics.counter
@@ -1668,13 +1650,6 @@ class ProcessBackend:
                     if self._stopped:
                         return
                     raise
-            else:
-                message = self._result_q.get()
-                if message is None:
-                    return
-                if isinstance(message, bytes):
-                    raw = message  # binary codec over the queue transport
-            if raw is not None:
                 try:
                     message = decode_message(raw)
                 except TraceDecodeError:
@@ -1685,6 +1660,10 @@ class ProcessBackend:
                             ).inc(1)
                     continue
                 if message[0] == "stop":  # pragma: no cover - defensive
+                    return
+            else:
+                message = self._result_q.get()
+                if message is None:
                     return
             # Tuple result messages optionally carry a worker-registry
             # delta (4th element) and shipped span events (5th); acks

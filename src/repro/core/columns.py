@@ -24,7 +24,9 @@ records as parallel columns:
 
 No per-event Python object exists anywhere in this layout; the columnar
 decoder in :mod:`repro.core.traceio` fills these columns straight from
-PMTB bytes.
+PMTB bytes.  The column scans (shard cuts, run boundaries) are
+``bytes.translate``/``bytes.find`` hops, so the layout needs nothing
+beyond the standard library.
 
 Epoch sharding rides on the same type: a *shard* is the prefix of a
 trace up to a fence-delimited epoch boundary, with ``check_from``
@@ -87,12 +89,6 @@ _EV_RANGE1 = 0x01
 _EV_RANGE2 = 0x02
 _EV_SITE = 0x04
 _EV_SEQ = 0x08
-
-# vectorized kernels use numpy when present; never required.  Routed
-# through npcompat so PMTEST_NO_NUMPY=1 forces the scalar fallbacks.
-from repro.core.npcompat import load_numpy
-
-_np = load_numpy()
 
 #: 256-entry ``bytes.translate`` table marking the opcodes that can
 #: change the :meth:`ColumnarTrace.shard_cuts` state machine: fences
@@ -369,12 +365,11 @@ class ColumnarTrace:
         into the sequential stream (no report can span the cut, and the
         end-of-shard implicit checker close can never fire early).
 
-        Vectorized: one ``bytes.translate`` marks the fence/bracket
-        opcodes (:data:`_CUT_OPS`) and the ordering sweep's state
-        machine then visits only those positions — found with
-        ``numpy.flatnonzero`` when numpy is present and with C-speed
-        ``bytes.find`` hops otherwise.  Output is byte-identical to
-        walking every event (the state only changes on marked bytes).
+        One ``bytes.translate`` marks the fence/bracket opcodes
+        (:data:`_CUT_OPS`) and the ordering sweep's state machine then
+        visits only those positions, found with C-speed ``bytes.find``
+        hops.  Output is byte-identical to walking every event (the
+        state only changes on marked bytes).
         """
         ops = self.ops
         n = len(ops)
@@ -387,16 +382,11 @@ class ColumnarTrace:
         fence_min = FENCE_MIN
         fence_max = FENCE_MAX
         append = cuts.append
-        if _np is not None:
-            positions = _np.flatnonzero(
-                _np.frombuffer(marked, dtype=_np.uint8)
-            ).tolist()
-        else:
-            positions = []
-            pos = marked.find(b"\x01")
-            while pos != -1:
-                positions.append(pos)
-                pos = marked.find(b"\x01", pos + 1)
+        positions = []
+        pos = marked.find(b"\x01")
+        while pos != -1:
+            positions.append(pos)
+            pos = marked.find(b"\x01", pos + 1)
         for i in positions:
             b = ops[i]
             if fence_min <= b <= fence_max:
@@ -444,25 +434,3 @@ class ColumnarTrace:
             self.prefix(bounds[k + 1], bounds[k])
             for k in range(len(bounds) - 1)
         ]
-
-    # ------------------------------------------------------------------
-    # Optional numpy view (analysis workflows; never on the hot path)
-    # ------------------------------------------------------------------
-    def as_numpy(self) -> Optional[dict]:
-        """The integer columns as numpy arrays, or ``None`` without numpy."""
-        numpy = load_numpy()
-        if numpy is None:
-            return None
-        return {
-            "ops": numpy.frombuffer(bytes(self.ops), dtype=numpy.uint8),
-            "flags": numpy.frombuffer(bytes(self.flags), dtype=numpy.uint8),
-            "addrs": numpy.asarray(self.addrs, dtype=numpy.int64),
-            "sizes": numpy.asarray(self.sizes, dtype=numpy.int64),
-            "addr2s": numpy.asarray(self.addr2s, dtype=numpy.int64),
-            "size2s": numpy.asarray(self.size2s, dtype=numpy.int64),
-            "seqs": (
-                numpy.asarray(self.seqs, dtype=numpy.int64)
-                if self.seqs is not None
-                else numpy.arange(len(self.ops), dtype=numpy.int64)
-            ),
-        }

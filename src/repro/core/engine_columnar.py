@@ -24,6 +24,10 @@ objects.  Three things make it fast; none of them may change verdicts:
    fences) and falls back to a list indexed by opcode — no enum
    hashing on the hot path.
 
+Every kernel is plain Python over ``array('q')``/``bytes`` columns
+(``bytes.translate``/``find`` for run boundaries, integer scans for the
+run preconditions); the engine needs no third-party library.
+
 Metrics-level contract (what the differential suite pins down):
 
 * ``metrics=None`` and ``basic`` use the bulk paths; ``basic`` counts
@@ -76,7 +80,6 @@ from repro.core.interval_array import ArrayIntervalMap, resolve_shadow_name
 from repro.core.interval_map import IntervalMap, QueryStats
 from repro.core.logtree import LogTree
 from repro.core.metrics import MetricsRegistry
-from repro.core.npcompat import load_numpy
 from repro.core.reports import TestResult
 from repro.core.rules import PersistencyRules, X86Rules
 from repro.core.shadow import SegmentState, make_shadow_for
@@ -94,10 +97,6 @@ ENGINE_NAMES = ("object", "columnar")
 
 ENGINE_ENV_VAR = "PMTEST_ENGINE"
 
-# epoch kernels use numpy when present (and not disabled via
-# PMTEST_NO_NUMPY); never required
-_np = load_numpy()
-
 #: ``bytes.translate`` table mapping write opcodes to ``\x00`` and
 #: everything else to ``\x01``: one translate turns "find the end of
 #: this write run" into a C-speed ``bytes.find`` instead of a
@@ -112,14 +111,7 @@ def _sizes_positive(sizes, start: int, end: int) -> bool:
     precondition for the bulk write-run kernel (a non-positive size
     must instead replay sequentially so the structural-invalid error
     fires at the same event with the same partial shadow state as the
-    object engine).  Vectorized under numpy; plain scan otherwise."""
-    if _np is not None:
-        try:
-            s = _np.asarray(sizes[start:end], dtype=_np.int64)
-        except (OverflowError, ValueError, TypeError):
-            pass
-        else:
-            return bool((s > 0).all())
+    object engine)."""
     for k in range(start, end):
         if sizes[k] <= 0:
             return False

@@ -1,15 +1,15 @@
-"""Array-backed interval store: the vectorized shadow plane.
+"""Array-backed interval store: the struct-of-arrays shadow plane.
 
 :class:`~repro.core.interval_map.IntervalMap` keeps one Python tuple and
 one Python value object per segment, so every shadow update and checker
 query pays per-object allocation and attribute chasing.  This module
 stores the same map as **struct-of-arrays**: flat ``starts`` / ``ends``
-int64 columns (``array('q')``, viewed zero-copy by numpy when available)
-plus a parallel ``codes`` column of small integers that index into a
-*state-code table* (:class:`ValueCodec`) interning the distinct value
-objects.  A shadow memory has few distinct persistency states per trace
-(one per ``(write epoch, site)`` pair at most), so the code table stays
-tiny while the segment columns stay primitive.
+int64 columns (``array('q')``) plus a parallel ``codes`` column of
+small integers that index into a *state-code table*
+(:class:`ValueCodec`) interning the distinct value objects.  A shadow
+memory has few distinct persistency states per trace (one per
+``(write epoch, site)`` pair at most), so the code table stays tiny
+while the segment columns stay primitive.
 
 On top of the columns sit **batched epoch operations** — the whole point
 of the layout:
@@ -21,8 +21,8 @@ of the layout:
     rewrite all mapped pieces of a sorted run of disjoint ranges in one
     carve pass;
 ``overlaps_many`` / ``covers_many``
-    answer an epoch's checker range queries with one ``searchsorted``
-    pass over the columns instead of per-query list building.
+    answer an epoch's checker range queries with one bisect pass over
+    the columns instead of per-query list building.
 
 Semantics are byte-identical to ``IntervalMap`` — including
 :class:`~repro.core.metrics.QueryStats` accounting (``overlaps`` counts
@@ -33,8 +33,7 @@ selected per checker via ``--shadow {object,array}`` / ``PMTEST_SHADOW``.
 
 Addresses wider than int64 (hypothesis likes them; real traces do not)
 transparently box the bound columns back to Python lists; the code
-column and all semantics are unaffected, only the numpy fast paths
-disable themselves.
+column and all semantics are unaffected.
 """
 
 from __future__ import annotations
@@ -45,9 +44,6 @@ from bisect import bisect_left, bisect_right
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.interval_map import QueryStats, Segment, _check_range
-from repro.core.npcompat import load_numpy
-
-_np = load_numpy()
 
 #: selectable shadow store implementations, default first
 SHADOW_NAMES = ("object", "array")
@@ -81,7 +77,7 @@ class ValueCodec:
     code equality is value equality — ``coalesce`` and the batched
     kernels compare codes without decoding.  Subclasses may override
     :meth:`_on_new` to maintain parallel per-code metadata columns (the
-    x86 rules keep a flush-epoch column for vectorized persist checks).
+    x86 rules keep a flush-epoch column for batched persist checks).
     """
 
     __slots__ = ("values", "_by_value")
@@ -470,25 +466,13 @@ class ArrayIntervalMap:
     def bounds_many(
         self, ranges: Sequence[Tuple[int, int]]
     ) -> Tuple[List[int], List[int]]:
-        """Per-range ``(i0, i1)`` segment windows, one searchsorted pass.
+        """Per-range ``(i0, i1)`` segment windows, one bisect pass.
 
         The raw primitive under ``overlaps_many``/``covers_many`` and
-        the rules' vectorized persist checks; performs no stats
+        the rules' batched persist checks; performs no stats
         accounting (callers decide what counts as a query).
         """
-        starts, ends = self._starts, self._ends
-        np = _np
-        if np is not None and not self._boxed and ranges:
-            sv = np.frombuffer(starts, dtype=np.int64) if len(starts) else np.empty(0, np.int64)
-            ev = np.frombuffer(ends, dtype=np.int64) if len(ends) else np.empty(0, np.int64)
-            los = np.fromiter((r[0] for r in ranges), np.int64, len(ranges))
-            his = np.fromiter((r[1] for r in ranges), np.int64, len(ranges))
-            idx = np.searchsorted(sv, los, "right") - 1
-            clipped = np.maximum(idx, 0)
-            hit = (idx >= 0) & (ev[clipped] > los) if len(ev) else np.zeros(len(ranges), bool)
-            i0s = np.where(hit, idx, idx + 1)
-            i1s = np.searchsorted(sv, his, "left")
-            return i0s.tolist(), i1s.tolist()
+        starts = self._starts
         i0s: List[int] = []
         i1s: List[int] = []
         for lo, hi in ranges:

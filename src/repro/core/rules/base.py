@@ -59,7 +59,7 @@ class PersistencyRules(ABC):
         Models that support the ``--shadow array`` store return a
         :class:`repro.core.interval_array.ValueCodec` (x86 returns its
         :class:`repro.core.rules.x86.SegmentStateCodec`, which keeps a
-        parallel flush-epoch column for vectorized persist checks).
+        parallel flush-epoch column for batched persist checks).
         ``None`` — the default — means the model's states have no code
         table and :func:`repro.core.shadow.make_shadow_for` quietly
         keeps the object map for it.

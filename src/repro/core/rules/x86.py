@@ -23,6 +23,11 @@ Operation semantics:
     (see :mod:`repro.core.shadow`): a flush issued in epoch ``t`` is
     complete — and its write persistent — once the timestamp has passed
     ``t``, with interval end ``t + 1``.
+
+Over an array shadow (:mod:`repro.core.interval_array`) the batched
+checks and the write-run kernel are integer scans over the
+``array('q')`` columns and the state-code table; no third-party
+library is involved.
 """
 
 from __future__ import annotations
@@ -34,14 +39,9 @@ from repro.core.events import Event, FLUSH_OPS, Op, SourceSite
 from repro.core.interval_array import ArrayIntervalMap, ValueCodec
 from repro.core.interval_map import IntervalMap
 from repro.core.intervals import Interval
-from repro.core.npcompat import load_numpy
 from repro.core.reports import Level, Report, ReportCode
 from repro.core.rules.base import PersistencyRules, RangeInterval
 from repro.core.shadow import SegmentState, ShadowMemory
-
-# the write-run kernel and the array-shadow fast paths vectorize with
-# numpy when present (and not disabled via PMTEST_NO_NUMPY)
-_np = load_numpy()
 
 _OP_WRITE = Op.WRITE.value
 
@@ -127,18 +127,9 @@ def _run_is_disjoint(addrs, sizes, start: int, end: int) -> bool:
     """Whether the write run ``[start, end)`` covers strictly ascending,
     non-overlapping ranges — the common struct-field/append pattern,
     where every write survives whole and the coverage sweep is pure
-    overhead.  Vectorized as two slice comparisons under numpy; the
-    fallback is a plain forward scan (columns may be ``array``,
-    ``memoryview`` or — for out-of-``int64``-range property-test inputs
-    that overflow the numpy conversion — lists)."""
-    if _np is not None:
-        try:
-            a = _np.asarray(addrs[start:end], dtype=_np.int64)
-            s = _np.asarray(sizes[start:end], dtype=_np.int64)
-        except (OverflowError, ValueError, TypeError):
-            pass
-        else:
-            return bool((a[1:] >= (a + s)[:-1]).all())
+    overhead.  A plain forward scan (columns may be ``array``,
+    ``memoryview`` or — for out-of-``int64``-range property-test
+    inputs — lists)."""
     prev_hi = None
     for k in range(start, end):
         lo = addrs[k]
@@ -367,16 +358,6 @@ class X86Rules(PersistencyRules):
             return False
         starts, ends, codes = pm._starts, pm._ends, pm._codes
         flush_epochs = pm.codec.flush_epochs
-        if _np is not None and not pm._boxed and i1 - i0 >= 16:
-            sv = _np.frombuffer(starts, dtype=_np.int64)[i0:i1]
-            ev = _np.frombuffer(ends, dtype=_np.int64)[i0:i1]
-            cv = _np.frombuffer(codes, dtype=_np.int64)[i0:i1]
-            if sv[0] > lo or ev[-1] < hi:
-                return False
-            if not bool((sv[1:] == ev[:-1]).all()):
-                return False
-            ftab = _np.frombuffer(flush_epochs, dtype=_np.int64)
-            return bool((ftab[cv] == _NO_FLUSH).all())
         cursor = lo
         for i in range(i0, i1):
             if starts[i] > cursor or flush_epochs[codes[i]] != _NO_FLUSH:
@@ -389,7 +370,7 @@ class X86Rules(PersistencyRules):
     ) -> List[bool]:
         """Batched ``isPersist`` pass pre-test over an array shadow.
 
-        One ``searchsorted`` pass resolves every query's segment window;
+        One bisect pass resolves every query's segment window;
         each window passes iff all of its codes map to a closed persist
         interval (flushed, and fenced since: ``flush_epoch < timestamp``).
         ``False`` entries are *maybe-failures*: the caller replays those
@@ -403,22 +384,6 @@ class X86Rules(PersistencyRules):
         codes = pm._codes
         flush_epochs = pm.codec.flush_epochs
         out: List[bool] = []
-        if _np is not None and len(codes) and not pm._boxed:
-            cv = _np.frombuffer(codes, dtype=_np.int64)
-            ftab = _np.frombuffer(flush_epochs, dtype=_np.int64)
-            open_ = (ftab == _NO_FLUSH) | (ftab >= now)
-            # One prefix sum answers every window: a range passes iff
-            # it contains zero open-interval codes.
-            bad = _np.cumsum(open_[cv])
-            i0a = _np.asarray(i0s, dtype=_np.int64)
-            i1a = _np.asarray(i1s, dtype=_np.int64)
-            empty = i0a >= i1a
-            # Clamp indices for the empty windows; their (meaningless)
-            # counts are masked out below.
-            hi = _np.maximum(i1a - 1, 0)
-            lo = _np.maximum(i0a - 1, 0)
-            total = bad[hi] - _np.where(i0a > 0, bad[lo], 0)
-            return (empty | (total == 0)).tolist()
         for i0, i1 in zip(i0s, i1s):
             ok = True
             for i in range(i0, i1):
@@ -446,7 +411,7 @@ class X86Rules(PersistencyRules):
         :meth:`apply_op_silent` calls, by one of two arguments:
 
         * **Disjoint runs** (ascending, non-overlapping — detected
-          vectorized by :func:`_run_is_disjoint`): every write is the
+          by :func:`_run_is_disjoint`): every write is the
           sole writer of its range, so forward per-range ``assign``
           calls are literally the sequential replay minus the dead
           scratch-event fills.

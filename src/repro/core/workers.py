@@ -113,10 +113,9 @@ class WorkerPool:
     transport:
         ``"queue"`` or ``"shm"`` — how process-backend batches cross
         the process boundary (``None`` consults ``PMTEST_TRANSPORT``,
-        defaulting to ``queue``).  Ignored by inline/thread backends.
-    codec:
-        ``"pickle"`` or ``"binary"`` wire codec for the process
-        backend (``None`` picks the transport's native codec).
+        defaulting to ``queue``).  The transport fixes the wire codec:
+        ``queue`` pickles tuple wires, ``shm`` ships binary PMTB
+        messages.  Ignored by inline/thread backends.
     check_timeout:
         Per-drain watchdog (seconds).  After this long with no trace
         completing, outstanding work is requeued once; if that brings
@@ -207,7 +206,6 @@ class WorkerPool:
         backend: Optional[str] = None,
         batch_size: Optional[int] = None,
         transport: Optional[str] = None,
-        codec: Optional[str] = None,
         check_timeout: Optional[float] = None,
         max_retries: int = 2,
         fallback: bool = True,
@@ -275,7 +273,6 @@ class WorkerPool:
         self._name = name
         self._batch_size = batch_size
         self._transport = transport
-        self._codec = codec
         #: resolved once so degradation rebuilds use the same capacity
         self._cache_size = resolve_cache_size(
             verdict_cache, verdict_cache_size
@@ -306,7 +303,6 @@ class WorkerPool:
             num_workers=num_workers,
             batch_size=batch_size,
             transport=transport,
-            codec=codec,
             thread_name=name,
             resilience=self._resilience,
             faults=faults,
@@ -624,7 +620,6 @@ class WorkerPool:
             num_workers=max(self._num_workers, 1),
             batch_size=self._batch_size,
             transport=self._transport,
-            codec=self._codec,
             thread_name=self._name,
             resilience=self._resilience,
             metrics=self._metrics,

@@ -380,6 +380,7 @@ class CheckingClient:
             result = self.drain()
             try:
                 self._send(encode_bye_message())
+                self._await_hangup()
             except DaemonError:
                 pass  # verdict already in hand; a lost bye is harmless
             self._final = result
@@ -388,6 +389,25 @@ class CheckingClient:
             self._closed = True
             self._sock.close()
             self._finish_session_span()
+
+    def _await_hangup(self) -> None:
+        """Read until the daemon closes the connection after ``bye``.
+
+        The server hangs up only after it has closed the session's pool
+        and merged its registry, so once this returns the daemon's
+        ``/metrics`` and stats already count this session.  Bounded by
+        the session deadline; a timeout or a broken connection just
+        ends the wait (the verdict is already in hand).
+        """
+        remaining = self._remaining()
+        if remaining is not None and remaining <= 0:
+            return
+        self._sock.settimeout(remaining)
+        try:
+            while read_frame(self._sock, self._max_frame) is not None:
+                pass  # late stats frames: the session is over
+        except (ProtocolError, OSError):
+            pass
 
     def abort(self) -> None:
         """Drop the connection without draining (tests, error paths)."""

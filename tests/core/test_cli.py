@@ -276,3 +276,39 @@ class TestServeAndSubmitCommands:
             "serve", "--uds", "/tmp/x.sock", "--chaos-points", "daemon.shed",
         ]) == 2
         assert "--chaos-seed" in capsys.readouterr().err
+
+
+class TestStandardLibraryOnly:
+    """The package declares no runtime dependencies, and it must not
+    pick one up implicitly either: importing the CLI and checking a
+    dump (default path and the columnar engine over the array shadow)
+    loads only the standard library and the package itself, even on a
+    host where third-party array libraries are installed."""
+
+    SCRIPT = """
+import sys
+import repro.cli
+sys.path.insert(0, sys.argv[2])
+from core.test_cli import record_buggy_trace
+record_buggy_trace(sys.argv[1])
+for extra in ([], ["--engine", "columnar", "--shadow", "array"]):
+    assert repro.cli.main(["check", sys.argv[1], *extra]) == 1
+assert "numpy" not in sys.modules
+"""
+
+    def test_import_and_check_stay_stdlib_only(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        tests_dir = os.path.dirname(os.path.dirname(__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT,
+             str(tmp_path / "run.pmtrace"), tests_dir],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -300,18 +300,11 @@ _POOL_CONFIGS = [
     pytest.param({"num_workers": 0}, id="inline"),
     pytest.param({"num_workers": 2, "backend": "thread"}, id="thread"),
     pytest.param(
-        {"num_workers": 2, "backend": "process", "transport": "queue",
-         "codec": "pickle"},
+        {"num_workers": 2, "backend": "process", "transport": "queue"},
         id="process-queue-pickle",
     ),
     pytest.param(
-        {"num_workers": 2, "backend": "process", "transport": "queue",
-         "codec": "binary"},
-        id="process-queue-binary",
-    ),
-    pytest.param(
-        {"num_workers": 2, "backend": "process", "transport": "shm",
-         "codec": "binary"},
+        {"num_workers": 2, "backend": "process", "transport": "shm"},
         id="process-shm-binary",
     ),
 ]

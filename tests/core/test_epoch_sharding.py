@@ -101,7 +101,7 @@ class TestShardEquivalence:
         trace = big_trace()
         wire, metadata = run_sharded(
             trace, num_workers=workers, backend="process",
-            transport="shm", codec="binary",
+            transport="shm",
         )
         assert wire == reference_wire(big_trace())
         assert metadata["epoch_shards"] == workers
@@ -300,8 +300,8 @@ class TestArenaDispatch:
         trace = big_trace()
         n_events = len(trace.events)
         with WorkerPool(num_workers=2, backend="process", transport="shm",
-                        codec="binary", engine="columnar",
-                        shard_min_events=1, metrics=registry) as pool:
+                        engine="columnar", shard_min_events=1,
+                        metrics=registry) as pool:
             pool.submit(trace)
             result = pool.drain()
             assert encode_result(result) == reference_wire(big_trace())
@@ -339,8 +339,8 @@ class TestArenaDispatch:
         registry = MetricsRegistry(MetricsLevel.BASIC)
         trace = big_trace()
         with WorkerPool(num_workers=2, backend="process", transport="shm",
-                        codec="binary", engine="columnar",
-                        shard_min_events=1, metrics=registry) as pool:
+                        engine="columnar", shard_min_events=1,
+                        metrics=registry) as pool:
             pool.submit(trace)
             result = pool.drain()
             assert result.metadata["epoch_shards"] == 2
@@ -450,35 +450,31 @@ def _object_reference(events):
     )
 
 
-#: backend, transport, codec, verdict_cache, chaos
+#: backend, transport, verdict_cache, chaos
 _MATRIX = [
-    pytest.param("thread", None, None, False, False, id="thread"),
-    pytest.param("process", "queue", "pickle", False, False,
-                 id="process-queue"),
-    pytest.param("process", "shm", "binary", False, False,
-                 id="process-shm"),
-    pytest.param("process", "shm", "binary", True, False,
-                 id="process-shm-cache"),
-    pytest.param("process", "queue", "pickle", False, True,
-                 id="process-chaos-kill"),
+    pytest.param("thread", None, False, False, id="thread"),
+    pytest.param("process", "queue", False, False, id="process-queue"),
+    pytest.param("process", "shm", False, False, id="process-shm"),
+    pytest.param("process", "shm", True, False, id="process-shm-cache"),
+    pytest.param("process", "queue", False, True, id="process-chaos-kill"),
 ]
 
 
 class TestZeroCopyDifferential:
     @pytest.mark.parametrize(
-        "backend,transport,codec,cache,chaos", _MATRIX
+        "backend,transport,cache,chaos", _MATRIX
     )
     def test_arena_shards_match_object_engine(
-        self, backend, transport, codec, cache, chaos
+        self, backend, transport, cache, chaos
     ):
         """For random multi-epoch traces, arena-dispatched shard replay
-        through the vectorized kernels returns byte-identical verdicts
+        through the batched kernels returns byte-identical verdicts
         and counters to the inline object engine — on every backend,
         transport and cache row, and with a worker killed mid-shard."""
         kwargs = dict(num_workers=2, backend=backend, engine="columnar",
                       shard_min_events=1, verdict_cache=cache)
         if transport is not None:
-            kwargs.update(transport=transport, codec=codec)
+            kwargs.update(transport=transport)
         if backend == "process":
             kwargs.update(batch_size=1, check_timeout=30.0)
         examples = 5 if backend == "process" else 40

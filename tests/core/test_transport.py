@@ -1,9 +1,9 @@
-"""Cross-transport/codec equivalence and the adaptive batcher.
+"""Cross-transport equivalence and the adaptive batcher.
 
-The transport (queue vs shm) and the wire codec (pickle vs binary) are
-pure plumbing: verdicts, engine counter totals, and recovery
-diagnostics must be identical across every combination on the same
-input, with chaos faults recovered the same way.  The adaptive batcher
+The transport (queue vs shm) and the wire codec it implies (pickle vs
+binary) are pure plumbing: verdicts, engine counter totals, and
+recovery diagnostics must be identical across both on the same input,
+with chaos faults recovered the same way.  The adaptive batcher
 must never change results either — only how many traces share an IPC
 message.
 """
@@ -29,8 +29,8 @@ from repro.core.traceio import encode_result
 from repro.core.workers import WorkerPool
 from repro.pmfs.kernel import KernelBridge
 
-#: Every transport x codec combination the process backend supports.
-COMBOS = [("queue", "pickle"), ("queue", "binary"), ("shm", "binary")]
+#: Every transport with the wire codec it implies.
+COMBOS = [("queue", "pickle"), ("shm", "binary")]
 
 
 def bad_trace(trace_id: int) -> Trace:
@@ -64,10 +64,10 @@ def run_combo(traces, transport, codec, *, metrics=None, **kwargs):
     backend = ProcessBackend(
         num_workers=kwargs.pop("num_workers", 1),
         transport=transport,
-        codec=codec,
         metrics=metrics,
         **kwargs,
     )
+    assert backend.codec == codec
     try:
         for trace in traces:
             backend.submit(trace)
@@ -94,12 +94,21 @@ class TestTransportConfig:
             resolve_transport_name("carrier-pigeon")
 
     def test_shm_requires_binary_codec(self):
-        with pytest.raises(ValueError, match="binary"):
-            ProcessBackend(num_workers=1, transport="shm", codec="pickle")
+        """The codec is derived from the transport and read-only."""
+        backend = ProcessBackend(num_workers=1, transport="shm")
+        try:
+            assert backend.codec == "binary"
+            with pytest.raises(AttributeError):
+                backend.codec = "pickle"
+        finally:
+            backend.stop()
 
     def test_unknown_codec_rejected(self):
-        with pytest.raises(ValueError, match="codec"):
-            ProcessBackend(num_workers=1, codec="morse")
+        """There is no codec knob to pass: the transport picks it."""
+        with pytest.raises(TypeError, match="codec"):
+            ProcessBackend(num_workers=1, codec="binary")
+        with pytest.raises(TypeError, match="codec"):
+            WorkerPool(num_workers=1, backend="process", codec="binary")
 
     def test_native_codec_defaults(self, monkeypatch):
         monkeypatch.delenv("PMTEST_TRANSPORT", raising=False)
@@ -188,8 +197,9 @@ class TestCrossTransportEquality:
 
         registry = MetricsRegistry(MetricsLevel.FULL)
         backend = ProcessBackend(
-            num_workers=1, transport=transport, codec=codec, metrics=registry
+            num_workers=1, transport=transport, metrics=registry
         )
+        assert backend.codec == codec
         try:
             for trace in traces:
                 backend.submit(trace)
@@ -218,9 +228,9 @@ class TestCrossTransportEquality:
             num_workers=1,
             batch_size=2,
             transport=transport,
-            codec=codec,
             faults=plan,
         )
+        assert backend.codec == codec
         try:
             for trace in traces:
                 backend.submit(trace)

@@ -3,6 +3,7 @@ payloads, Prometheus exposition, the HTTP endpoint, and the
 ``stats``/``flight`` session frames."""
 
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -280,6 +281,35 @@ class TestHttpEndpoint:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 self._get(address, "/nope")
             assert excinfo.value.code == 404
+
+    def test_metrics_reflect_session_once_close_returns(
+        self, uds_path, monkeypatch
+    ):
+        """Read-your-writes: close() returns only after the daemon has
+        closed the session pool and merged its registry, even when the
+        pool is slow to close."""
+        from repro.core.workers import WorkerPool
+
+        original_close = WorkerPool.close
+
+        def slow_close(pool):
+            time.sleep(0.3)
+            return original_close(pool)
+
+        monkeypatch.setattr(WorkerPool, "close", slow_close)
+        with start_in_thread(
+            uds=uds_path, workers=0,
+            metrics=MetricsRegistry(MetricsLevel.FULL),
+            http_host="127.0.0.1", http_port=0,
+        ) as handle:
+            address = handle.server.http_address
+            with CheckingClient(
+                f"unix://{uds_path}", tenant="acme"
+            ) as client:
+                for trace in make_traces(5):
+                    client.submit(trace)
+            _, body = self._get(address, "/metrics")
+            assert "pmtest_engine_traces 5" in body
 
     def test_http_listener_closes_with_server(self, uds_path):
         with start_in_thread(
