@@ -37,10 +37,8 @@ from repro.core.engine_columnar import ColumnarCheckingEngine, make_engine
 from repro.core.events import Event, Op, SourceSite, Trace
 from repro.core.rules import X86Rules
 from repro.core.traceio import (
-    decode_message,
     decode_traces_binary,
     decode_traces_binary_columnar,
-    encode_task_message,
     encode_trace,
     encode_traces_binary,
 )
@@ -84,7 +82,7 @@ RESULTS: Dict[Tuple[str, Tuple], float] = {}
 METRICS: Dict[Tuple[str, Tuple], dict] = {}
 
 #: wire-codec measurement: codec name -> bytes per trace on the fig12
-#: checking workload (populated by the transport ablation)
+#: checking workload (populated by the fig12f wire-bytes test)
 WIRE_BYTES: Dict[str, float] = {}
 
 #: verdict-cache measurement: hit rate and coalesced-write count on the
@@ -351,7 +349,6 @@ def prepare_backend_throughput(
     n_workers: int,
     n_traces: int = 150,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    transport: Optional[str] = None,
     engine: Optional[str] = None,
     shard_min_events: Optional[int] = None,
     tx_per_trace: int = 20,
@@ -361,9 +358,7 @@ def prepare_backend_throughput(
     This isolates the checking runtime (dispatch + engine + result
     merge) from workload execution, which is what actually distinguishes
     the thread and process backends: end-to-end workload timings blend
-    in tracked execution that is identical across backends.  The
-    ``transport`` knob selects the process backend's IPC channel (and
-    with it the wire encoding) for the transport ablation; ``engine``/
+    in tracked execution that is identical across backends.  ``engine``/
     ``shard_min_events`` select the replay engine and the epoch-shard
     threshold for the columnar/sharding sweeps (``tx_per_trace`` sizes
     individual traces — sharding only pays on large ones).
@@ -374,7 +369,6 @@ def prepare_backend_throughput(
         num_workers=n_workers,
         backend=backend,
         batch_size=batch_size,
-        transport=transport,
         engine=engine,
         shard_min_events=shard_min_events,
     )
@@ -424,12 +418,11 @@ def measure_decode_replay_split(
 ) -> Dict[str, dict]:
     """Per-batch decode-vs-replay time split for both engines.
 
-    Task batches are built exactly as the process backend ships them
-    (``encode_task_message`` over ``batch_size`` traces), then each
-    batch is decoded and replayed separately per engine, timing the two
-    phases independently: the object engine decodes to per-event
-    :class:`Event` objects, the columnar engine decodes straight into
-    struct-of-arrays columns.  Results land in :data:`DECODE_REPLAY`
+    The workload is cut into binary ``traces`` messages of
+    ``batch_size`` traces each, then each batch is decoded and replayed
+    separately per engine, timing the two phases independently: the
+    object engine decodes to per-event :class:`Event` objects, the
+    columnar engine decodes straight into struct-of-arrays columns.  Results land in :data:`DECODE_REPLAY`
     (totals plus the per-batch nanosecond rows) for the terminal
     summary and the benchmark JSON.
     """
@@ -437,26 +430,28 @@ def measure_decode_replay_split(
 
     n_traces = env_int("PMTEST_BENCH_TRACES", n_traces)
     traces = make_checking_traces(n_traces)
-    wires = [(seq, encode_trace(trace)) for seq, trace in enumerate(traces)]
     messages = [
-        encode_task_message(wires[start:start + batch_size])
-        for start in range(0, len(wires), batch_size)
+        encode_traces_binary(traces[start:start + batch_size])
+        for start in range(0, len(traces), batch_size)
     ]
     for engine_name in ("object", "columnar"):
-        columnar = engine_name == "columnar"
+        decode = (
+            decode_traces_binary_columnar if engine_name == "columnar"
+            else decode_traces_binary
+        )
         engine = make_engine(engine_name, X86Rules())
         check = engine.check_trace
         per_batch = []
         for message in messages:
             t0 = perf_counter_ns()
-            _, pairs = decode_message(message, columnar=columnar)
+            batch = decode(message)
             t1 = perf_counter_ns()
-            for _, trace in pairs:
+            for trace in batch:
                 check(trace)
             t2 = perf_counter_ns()
             per_batch.append(
                 {"decode_ns": t1 - t0, "replay_ns": t2 - t1,
-                 "traces": len(pairs)}
+                 "traces": len(batch)}
             )
         DECODE_REPLAY[engine_name] = {
             "batches": len(per_batch),
@@ -671,14 +666,13 @@ def prepare_verdict_cache(cache_size: int) -> Execute:
 def measure_wire_bytes(
     n_traces: int = 150, batch_size: int = DEFAULT_BATCH_SIZE
 ) -> Dict[str, float]:
-    """Bytes per trace each codec ships for the fig12 checking workload.
+    """Bytes per trace of each encoding for the fig12 checking workload.
 
-    Batches are built exactly as the process backend builds them —
-    ``(seq, tuple-wire)`` pairs, ``batch_size`` traces per message — and
-    encoded both ways: the queue transport pickles the batch (that *is*
-    the multiprocessing.Queue wire), the binary codec frames it with
-    :func:`encode_task_message`.  Results land in :data:`WIRE_BYTES` for
-    the terminal summary and the benchmark JSON.
+    The workload is cut into ``batch_size``-trace batches and encoded
+    both ways: the pickled ``(seq, tuple-wire)`` batch the process
+    backend puts on its ``multiprocessing.Queue``, and one binary PMTB
+    ``traces`` message per batch.  Results land in :data:`WIRE_BYTES`
+    for the terminal summary and the benchmark JSON.
     """
     n_traces = env_int("PMTEST_BENCH_TRACES", n_traces)
     traces = make_checking_traces(n_traces)
@@ -687,7 +681,9 @@ def measure_wire_bytes(
     for start in range(0, len(wires), batch_size):
         batch = wires[start:start + batch_size]
         totals["pickle"] += len(pickle.dumps(batch, pickle.HIGHEST_PROTOCOL))
-        totals["binary"] += len(encode_task_message(batch))
+        totals["binary"] += len(
+            encode_traces_binary(traces[start:start + batch_size])
+        )
     per_trace = {name: total / len(wires) for name, total in totals.items()}
     WIRE_BYTES.update(per_trace)
     return per_trace

@@ -36,8 +36,6 @@ from repro.core.engine_columnar import ENGINE_NAMES
 THREADS = [1, 2, 4]
 WORKERS = [1, 2, 4]
 BACKENDS = ("thread", "process")
-#: process-backend transports with the wire codec each implies
-TRANSPORT_COMBOS = [("queue", "pickle"), ("shm", "binary")]
 #: the epoch-sharding sweep ships a few large traces instead of many
 #: small ones: sharding only engages above the per-trace threshold
 SHARD_TRACES = 8
@@ -142,48 +140,15 @@ def test_fig12d_backend_shape(benchmark):
         )
 
 
-@pytest.mark.parametrize("transport,codec", TRANSPORT_COMBOS)
-def test_fig12f_transport_ablation(benchmark, bench_rounds, transport, codec):
-    """(f) transport ablation: the same pure-checking drain as fig12d,
-    process backend, 4 workers, varying only the IPC channel (queue vs
-    shm ring) and with it the wire encoding (pickle vs binary)."""
-    pedantic(
-        benchmark,
-        bench_rounds,
-        lambda: prepare_backend_throughput("process", 4, transport=transport),
-    )
-    record("fig12-transport", (transport, codec), benchmark)
-
-
 def test_fig12f_wire_bytes(benchmark):
-    """The codec claim: struct-packed binary ships >= 3x fewer bytes per
-    trace than the pickled-tuple wire on the fig12 checking workload.
-    This is a deterministic byte count, so it holds on any host."""
+    """The codec claim: the struct-packed binary PMTB format stores a
+    trace in >= 3x fewer bytes than the pickled-tuple wire the process
+    backend ships, on the fig12 checking workload.  This is a
+    deterministic byte count, so it holds on any host."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     per_trace = measure_wire_bytes()
     ratio = per_trace["pickle"] / per_trace["binary"]
     assert ratio >= 3.0, per_trace
-
-
-def test_fig12f_transport_shape(benchmark):
-    """The transport claim: with real parallelism available, shm+binary
-    drains the same workload faster than queue+pickle."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    times = {
-        combo: RESULTS.get(("fig12-transport", combo))
-        for combo in TRANSPORT_COMBOS
-    }
-    if any(value is None for value in times.values()):
-        pytest.skip("fig12f benchmarks did not run")
-    if (os.cpu_count() or 1) >= 4:
-        assert times[("shm", "binary")] < times[("queue", "pickle")], times
-    else:
-        ratio = times[("queue", "pickle")] / times[("shm", "binary")]
-        pytest.skip(
-            f"only {os.cpu_count()} core(s): shm+binary measured "
-            f"{ratio:.2f}x queue+pickle but the faster-drain assertion "
-            "needs a multi-core host"
-        )
 
 
 @pytest.mark.parametrize("engine", ENGINE_NAMES)
@@ -216,7 +181,7 @@ def test_fig12g_engine_shape(benchmark):
 
 def test_fig12g_decode_replay_split(benchmark):
     """Populate the per-batch decode-vs-replay split for the dumped
-    JSON: per engine, how much of each task batch went to wire decoding
+    JSON: per engine, how much of each batch went to binary decoding
     vs shadow replay."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     split = measure_decode_replay_split()
@@ -230,9 +195,7 @@ def test_fig12g_decode_replay_split(benchmark):
 def test_fig12h_sharded_throughput(benchmark, bench_rounds, backend, workers):
     """(h) epoch-sharded checking: a few large multi-epoch traces are
     split at fence boundaries across the worker pool (columnar engine,
-    ``shard_min_events=1``); the process rows use the shm+binary
-    transport, the pairing the sharding design targets."""
-    transport = "shm" if backend == "process" else None
+    ``shard_min_events=1``)."""
     pedantic(
         benchmark,
         bench_rounds,
@@ -240,7 +203,6 @@ def test_fig12h_sharded_throughput(benchmark, bench_rounds, backend, workers):
             backend,
             workers,
             n_traces=SHARD_TRACES,
-            transport=transport,
             engine="columnar",
             shard_min_events=1,
             tx_per_trace=SHARD_TX_PER_TRACE,
@@ -249,9 +211,9 @@ def test_fig12h_sharded_throughput(benchmark, bench_rounds, backend, workers):
     record("fig12-shard", (backend, workers), benchmark)
 
 
-def test_fig12h_shm_vs_thread_shape(benchmark):
+def test_fig12h_process_vs_thread_shape(benchmark):
     """The sharding claim: with real parallelism, epoch-sharded
-    checking over process+shm beats the thread backend on the same
+    checking on the process backend beats the thread backend on the same
     large traces (the GIL serializes thread-backend shards)."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     times = {
@@ -268,7 +230,7 @@ def test_fig12h_shm_vs_thread_shape(benchmark):
     else:
         ratio = times[("thread", 4)] / times[("process", 4)]
         pytest.skip(
-            f"only {os.cpu_count()} core(s): sharded process+shm measured "
+            f"only {os.cpu_count()} core(s): sharded process measured "
             f"{ratio:.2f}x the thread backend (scaling "
             f"{process_scaling:.2f}x) but the faster-drain assertion "
             "needs a multi-core host"

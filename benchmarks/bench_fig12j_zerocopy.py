@@ -2,19 +2,19 @@
 
 The zero-copy shard plane (DESIGN.md §13) changes *how* epoch shards
 reach process workers: instead of re-encoding each shard's columns into
-the tuple wire and copying the payload through the transport, the
+the tuple wire and copying the payload through the task queue, the
 submitter lays the trace out once in a shared-memory column arena and
 ships an O(1) descriptor per shard.  This module measures exactly that
 delta on the fig12h-shaped workload (a few large multi-epoch traces,
-process + shm + binary):
+process backend):
 
 * ``payload`` row — arena building disabled (the pre-arena behaviour:
-  every shard re-encoded and copied through the ring);
+  every shard re-encoded and copied through the queue);
 * ``arena`` row — the default zero-copy dispatch;
 * a deterministic wire-byte check: descriptor bytes per shard must not
   grow with trace size (the O(1) claim, asserted via the codec byte
   counters, so it holds on any host);
-* the scaling gate: 4-worker sharded process+shm throughput vs the
+* the scaling gate: 4-worker sharded process throughput vs the
   1-worker serial drain, compared against the committed fig12h
   baseline ratio (``benchmarks/results/fig12_backends.json``).
 """
@@ -52,19 +52,19 @@ def _fail_build(cols):
 
 
 def prepare_shard_drain(n_workers: int, dispatch: str = "arena"):
-    """Timed body: drain the sharded workload through process+shm.
+    """Timed body: drain the sharded workload through the process
+    backend.
 
     ``dispatch='payload'`` disables arena building (shards take the
     overflow fallback: re-encode + copy), isolating the zero-copy
-    delta with everything else — engine, transport, codec, shard
-    boundaries — held fixed.
+    delta with everything else — engine, channel, shard boundaries —
+    held fixed.
     """
     n_traces = env_int("PMTEST_BENCH_TRACES", N_TRACES)
     traces = make_checking_traces(n_traces, tx_per_trace=TX_PER_TRACE)
     pool = WorkerPool(
         num_workers=n_workers,
         backend="process",
-        transport="shm",
         engine="columnar",
         shard_min_events=1,
     )
@@ -110,11 +110,11 @@ def test_fig12j_sharded_scaling(benchmark, bench_rounds, workers):
 def _dispatch_bytes(tx_per_trace: int) -> dict:
     """Shard-dispatch task bytes for one trace of ``tx_per_trace``
     transactions (4 events each), measured from the codec counters of
-    a process+shm pool."""
+    a process pool."""
     registry = MetricsRegistry(MetricsLevel.FULL)
     [trace] = make_checking_traces(1, tx_per_trace=tx_per_trace)
     n_events = len(trace.events)
-    with WorkerPool(num_workers=2, backend="process", transport="shm",
+    with WorkerPool(num_workers=2, backend="process",
                     engine="columnar", shard_min_events=1,
                     metrics=registry) as pool:
         pool.submit(trace)
@@ -136,9 +136,9 @@ def test_fig12j_wire_bytes_are_constant(benchmark):
     small = _dispatch_bytes(200)
     large = _dispatch_bytes(800)
     assert large["events"] == pytest.approx(4 * small["events"], rel=0.01)
-    # A descriptor is a segment name plus three varints; the only
-    # size-dependent part is the varint of the event offsets, so allow
-    # single bytes of growth — never payload-proportional growth.
+    # A descriptor is a segment name plus three small ints; the only
+    # size-dependent part is the pickled width of the event offsets, so
+    # allow single bytes of growth — never payload-proportional growth.
     assert large["task_bytes"] <= small["task_bytes"] + 8
     assert small["task_bytes"] < 120
     per_shard = large["task_bytes"] / large["shards"]
@@ -149,7 +149,7 @@ def test_fig12j_wire_bytes_are_constant(benchmark):
         events_large_trace=large["events"],
     )
     # and the whole dispatch is orders of magnitude below the payload:
-    # one event encodes to >= 4 bytes, a shard descriptor to ~18
+    # one event encodes to >= 4 bytes, a shard descriptor to a few dozen
     assert per_shard * large["shards"] < large["events"]
 
 

@@ -37,7 +37,6 @@ TRACKED_RATIOS = [
     "shadow_validate_speedup_array_vs_object",
     "shadow_best_speedup_array_vs_object",
     "sharded_checking_scaling_vs_1_worker.process/4-workers",
-    "transport_drain_speedup_vs_queue_pickle.shm+binary",
     "wire_bytes_ratio_pickle_over_binary",
     "verdict_cache_speedup",
     "zerocopy_dispatch_speedup_arena_vs_payload",

@@ -163,29 +163,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
                 f"{backend:>8s} {workers:8d} {seconds:9.4f} {scaling:>12s}"
             )
 
-    if "fig12-transport" in figures:
-        tr.section("Ablation: wire transport & codec (process backend)")
-        tr.write_line(f"{'transport':>9s} {'codec':>7s} {'seconds':>9s} "
-                      f"{'vs queue+pickle':>16s}")
-        rows = sorted(
-            {cfg for fig, cfg in RESULTS if fig == "fig12-transport"}
-        )
-        base = RESULTS.get(("fig12-transport", ("queue", "pickle")))
-        for transport, codec in rows:
-            seconds = RESULTS.get(("fig12-transport", (transport, codec)))
-            speedup = (
-                f"{base / seconds:14.2f}x" if seconds and base else "       n/a"
-            )
+    if WIRE_BYTES:
+        tr.section("Wire bytes per trace (fig12f)")
+        for codec in sorted(WIRE_BYTES):
             tr.write_line(
-                f"{transport:>9s} {codec:>7s} {seconds:9.4f} {speedup:>16s}"
+                f"{codec:>7s} wire: {WIRE_BYTES[codec]:8.1f} bytes/trace"
             )
-        if WIRE_BYTES:
-            for codec in sorted(WIRE_BYTES):
-                tr.write_line(
-                    f"{codec:>7s} wire: {WIRE_BYTES[codec]:8.1f} bytes/trace"
-                )
-            ratio = WIRE_BYTES.get("pickle", 0) / WIRE_BYTES["binary"]
-            tr.write_line(f"binary ships {ratio:.2f}x fewer bytes per trace")
+        ratio = WIRE_BYTES.get("pickle", 0) / WIRE_BYTES["binary"]
+        tr.write_line(f"binary is {ratio:.2f}x fewer bytes per trace")
 
     if "fig12-engine" in figures or ENGINE_BEST:
         tr.section("Ablation: replay engine (object vs columnar)")
@@ -379,13 +364,6 @@ def _dump_json(tr) -> None:
                     base / seconds if seconds else None
                 )
         payload["sharded_checking_scaling_vs_1_worker"] = scaling
-    transport_base = RESULTS.get(("fig12-transport", ("queue", "pickle")))
-    if transport_base:
-        payload["transport_drain_speedup_vs_queue_pickle"] = {
-            f"{cfg[0]}+{cfg[1]}": transport_base / seconds if seconds else None
-            for (fig, cfg), seconds in sorted(RESULTS.items())
-            if fig == "fig12-transport"
-        }
     if WIRE_BYTES:
         payload["wire_bytes_per_trace"] = dict(sorted(WIRE_BYTES.items()))
         payload["wire_bytes_ratio_pickle_over_binary"] = (

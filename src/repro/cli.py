@@ -73,7 +73,6 @@ from repro.core.metrics import (
 from repro.core.rules import HOPSRules, PersistencyRules, X86Rules
 from repro.core.rules.eadr import EADRRules
 from repro.core.rules.naive import NaiveX86Rules
-from repro.core.backends import TRANSPORT_NAMES
 from repro.core.engine_columnar import ENGINE_NAMES
 from repro.core.interval_array import SHADOW_NAMES
 from repro.core.shard_plan import PLAN_MODES
@@ -127,17 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "pin traces per IPC message for --backend process "
             "(default: adapts to backpressure)"
-        ),
-    )
-    check.add_argument(
-        "--transport",
-        choices=TRANSPORT_NAMES,
-        default=None,
-        help=(
-            "IPC channel for --backend process: queue "
-            "(multiprocessing.Queue) or shm (shared-memory ring "
-            "buffers with the binary wire codec); default: "
-            "PMTEST_TRANSPORT or queue"
         ),
     )
     check.add_argument(
@@ -370,10 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--batch-size", type=int, default=None,
         help="traces per IPC message for --backend process",
-    )
-    serve.add_argument(
-        "--transport", choices=TRANSPORT_NAMES, default=None,
-        help="IPC channel for --backend process (queue or shm)",
     )
     serve.add_argument(
         "--engine", choices=ENGINE_NAMES, default=None,
@@ -646,6 +630,9 @@ def _check(args: argparse.Namespace, traces) -> int:
     if args.max_retries < 0:
         print("error: --max-retries must be >= 0", file=sys.stderr)
         return 2
+    if args.max_reports < 0:
+        print("error: --max-reports must be >= 0", file=sys.stderr)
+        return 2
     if args.verdict_cache_size is not None and args.verdict_cache_size < 0:
         print("error: --verdict-cache-size must be >= 0", file=sys.stderr)
         return 2
@@ -669,7 +656,6 @@ def _check(args: argparse.Namespace, traces) -> int:
             num_workers=args.workers,
             backend=args.backend,
             batch_size=args.batch_size,
-            transport=args.transport,
             check_timeout=args.check_timeout,
             max_retries=args.max_retries,
             fallback=args.fallback,
@@ -794,7 +780,6 @@ def _serve(args: argparse.Namespace) -> int:
             uds=args.uds,
             workers=args.workers,
             backend=args.backend,
-            transport=args.transport,
             engine=args.engine,
             shadow=args.shadow,
             shard_min_events=args.shard_min_events,
@@ -902,6 +887,9 @@ def _submit(args: argparse.Namespace, traces) -> int:
 
     if args.batch_size < 1:
         print("error: --batch-size must be >= 1", file=sys.stderr)
+        return 2
+    if args.max_reports < 0:
+        print("error: --max-reports must be >= 0", file=sys.stderr)
         return 2
     # Same telemetry semantics as 'repro check': --metrics-json forces a
     # full client-side registry (merged with the server-shipped session

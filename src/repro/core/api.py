@@ -85,9 +85,6 @@ class PMTestSession:
     batch_size:
         Traces per IPC message (process backend only).  ``None``
         (default) adapts to backpressure; an integer pins it.
-    transport:
-        Process-backend IPC channel: ``"queue"`` or ``"shm"``
-        (shared-memory rings).  ``None`` consults ``PMTEST_TRANSPORT``.
     check_timeout:
         Per-drain watchdog (seconds) for ``get_result``: an
         unrecoverable checking-pipeline hang surfaces within this bound
@@ -159,7 +156,6 @@ class PMTestSession:
         capture_sites: bool = False,
         backend: Optional[str] = None,
         batch_size: Optional[int] = None,
-        transport: Optional[str] = None,
         check_timeout: Optional[float] = None,
         max_retries: int = 2,
         fallback: bool = True,
@@ -180,7 +176,6 @@ class PMTestSession:
             num_workers=workers,
             backend=backend,
             batch_size=batch_size,
-            transport=transport,
             check_timeout=check_timeout,
             max_retries=max_retries,
             fallback=fallback,

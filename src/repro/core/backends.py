@@ -56,25 +56,15 @@ deterministically: workers consult the session's fault plan at
 re-injected.  The inline backend is the deterministic reference and has
 no fault points.
 
-Transports
-----------
-*How* batches cross the process boundary is independent of the
-supervision above and is selected per :data:`TRANSPORT_NAMES`:
-
-``queue`` (default)
-    ``multiprocessing.Queue`` — a feeder thread pickles each message
-    (the tuple wire as-is) into a pipe.
-``shm``
-    Shared-memory ring buffers (:mod:`repro.core.shm_ring`): one task
-    ring, one result ring, messages in the struct-packed binary codec
-    from :mod:`repro.core.traceio` (3-5x fewer bytes per trace).  No
-    feeder threads, no pickling — a batch is one ``bytes`` copy in and
-    one copy out.
-
-Either way the backend retains the *tuple* wire of every outstanding
-trace, so requeue/replay and the corrupted-in-transit diagnosis work
-identically across transports, and batch size adapts to backpressure
-(:class:`AdaptiveBatch`) unless pinned with an explicit ``batch_size``.
+Channel
+-------
+Batches cross the process boundary on one ``multiprocessing.Queue``
+each way: a feeder thread pickles each message (a list of
+``(seq, tuple wire)`` pairs) into a pipe.  The backend retains the
+tuple wire of every outstanding trace, so requeue/replay and the
+corrupted-in-transit diagnosis work from the same bytes the workers
+saw, and batch size adapts to backpressure (:class:`AdaptiveBatch`)
+unless pinned with an explicit ``batch_size``.
 """
 
 from __future__ import annotations
@@ -106,30 +96,21 @@ from repro.core.metrics import MetricsLevel, MetricsRegistry
 from repro.core.recovery import RecoveryEvent, render_events
 from repro.core.reports import TestResult
 from repro.core.rules import PersistencyRules
-from repro.core.shm_ring import DEFAULT_RING_BYTES, RingClosed, ShmRing
 from repro.core.tracing import SpanContext, Tracer, TracingError
 from repro.core.verdict_cache import VerdictCache, resolve_cache_size
 from repro.core.traceio import (
     TraceDecodeError,
     corrupt_wire,
-    corrupt_wire_framed,
-    decode_message,
     decode_registry,
     decode_result,
     decode_trace,
-    encode_ack_message,
     encode_registry,
     encode_result,
-    encode_result_message,
-    encode_task_message,
     encode_trace,
 )
 
 #: Names accepted by :func:`make_backend` (and every ``backend=`` knob).
 BACKEND_NAMES = ("inline", "thread", "process")
-
-#: Transports for the process backend's task/result channels.
-TRANSPORT_NAMES = ("queue", "shm")
 
 #: The degradation ladder: who picks up the work when a backend cannot
 #: be spawned or is declared unhealthy mid-run.
@@ -231,14 +212,14 @@ class AdaptiveBatch:
     fixed ``batch_size`` behaviour); constructed with ``None`` it
     adapts multiplicatively between 1 and :data:`MAX_BATCH_SIZE`:
 
-    * **backpressure** (more unconsumed batches in the task channel
+    * **backpressure** (more unconsumed batches in the task queue
       than ``2 x workers``): submissions outrun the workers, so double
       the batch to amortize per-message transport cost;
-    * **starvation** (the channel is empty the moment we flush):
+    * **starvation** (the queue is empty the moment we flush):
       workers are waiting on us, so halve the batch to cut the latency
       between a trace being submitted and a worker seeing it.
 
-    ``observe`` is called after each flush with a racy channel-depth
+    ``observe`` is called after each flush with a racy queue-depth
     estimate — precision is irrelevant, the signal only has to point
     in the right direction often enough for the size to settle.
     """
@@ -260,19 +241,6 @@ class AdaptiveBatch:
             self.size = max(self.size // 2, 1)
 
 
-def resolve_transport_name(name: Optional[str]) -> str:
-    """Resolve the process-backend transport, honouring the
-    ``PMTEST_TRANSPORT`` environment override when the caller did not
-    choose one explicitly."""
-    if name is None:
-        name = os.environ.get("PMTEST_TRANSPORT") or "queue"
-    if name not in TRANSPORT_NAMES:
-        raise ValueError(
-            f"unknown transport {name!r}; expected one of {TRANSPORT_NAMES}"
-        )
-    return name
-
-
 def make_backend(
     name: Optional[str],
     rules: Optional[PersistencyRules] = None,
@@ -282,7 +250,6 @@ def make_backend(
     resilience: Optional[Resilience] = None,
     faults: Optional[FaultPlan] = None,
     metrics: Optional[MetricsRegistry] = None,
-    transport: Optional[str] = None,
     cache_size: Optional[int] = None,
     engine: Optional[str] = None,
     shadow: Optional[str] = None,
@@ -299,11 +266,6 @@ def make_backend(
 
     ``metrics`` is the caller-owned submit-side registry; workers get
     registries of their own (see ``metrics_registries``).
-
-    ``transport`` selects the process backend's IPC channel, and with
-    it the wire encoding (``None``: ``PMTEST_TRANSPORT`` or the
-    default); the in-process backends ignore it, moving zero wire
-    bytes by construction.
 
     ``cache_size`` is the per-worker verdict-cache capacity (0
     disables it; ``None``: resolve the ``PMTEST_VERDICT_CACHE``
@@ -364,7 +326,6 @@ def make_backend(
             resilience=resilience,
             faults=faults,
             metrics=metrics,
-            transport=transport,
             cache_size=cache_size,
             engine=engine,
             shadow=shadow,
@@ -396,7 +357,6 @@ def make_backend_with_fallback(
     resilience: Optional[Resilience] = None,
     faults: Optional[FaultPlan] = None,
     metrics: Optional[MetricsRegistry] = None,
-    transport: Optional[str] = None,
     cache_size: Optional[int] = None,
     engine: Optional[str] = None,
     shadow: Optional[str] = None,
@@ -424,7 +384,6 @@ def make_backend_with_fallback(
                 resilience=resilience,
                 faults=faults,
                 metrics=metrics,
-                transport=transport,
                 cache_size=cache_size,
                 engine=engine,
                 shadow=shadow,
@@ -957,8 +916,8 @@ def _process_worker(*args, **kwargs) -> None:
 
 
 def _process_worker_loop(
-    index: int, task_ch, result_ch, rules, faults, metrics_level=None,
-    transport: str = "queue", cache_size: int = 0,
+    index: int, task_q, result_q, rules, faults, metrics_level=None,
+    cache_size: int = 0,
     engine_name: str = "object",
     trace_ctx: Optional[Tuple[int, int]] = None,
     shadow_name: str = "object",
@@ -981,11 +940,9 @@ def _process_worker_loop(
     result messages (drained after each send, so events travel exactly
     once and carry this process's own pid).
 
-    ``task_ch``/``result_ch`` are ``multiprocessing`` queues for the
-    ``queue`` transport (pickled tuple wires) or
-    :class:`~repro.core.shm_ring.ShmRing`\\ s for ``shm``, where every
-    message is one ``bytes`` value of
-    :func:`~repro.core.traceio.decode_message`'s format.
+    ``task_q`` carries batches of ``(seq, tuple wire)`` pairs (``None``
+    asks the worker to exit); ``result_q`` carries ``("ack", ...)`` and
+    ``("res", ...)`` tuples back to the collector.
     """
     registry = None
     if metrics_level is not None:
@@ -1000,60 +957,12 @@ def _process_worker_loop(
     engine = make_engine(
         engine_name, rules, registry, cache=cache, shadow=shadow_name
     )
-    # the transport fixes the codec: shm rings carry binary messages,
-    # queues carry pickled tuple wires
-    binary = transport == "shm"
-    # The columnar engine decodes binary batches straight into columns
-    # (zero per-event objects); epoch shards in a task batch decode
-    # columnar regardless, which is safe because only columnar pools
-    # ever ship shards.
-    columnar = engine_name == "columnar"
-
-    def ship(message) -> None:
-        if binary:
-            try:
-                result_ch.push(message)
-            except RingClosed:  # backend is stopping; vanish quietly
-                os._exit(0)
-        else:
-            result_ch.put(message)
-
-    def count_sent(nbytes: int) -> None:
-        if registry is not None:
-            registry.counter("codec.worker_result_bytes").inc(nbytes)
-
     while True:
-        if binary:
-            try:
-                raw = task_ch.pop()
-            except RingClosed:
-                return
-            try:
-                message = decode_message(raw, columnar=columnar)
-            except TraceDecodeError:
-                # Framing damage: no sequence numbers to report against.
-                # Drop the message; the watchdog requeues its traces.
-                if registry is not None:
-                    registry.counter("codec.task_decode_errors").inc(1)
-                continue
-            if message[0] == "stop":
-                return
-            if message[0] != "task":
-                continue
-            pairs = message[1]  # [(seq, Trace | TraceDecodeError), ...]
-            if registry is not None:
-                registry.counter("codec.worker_task_bytes").inc(len(raw))
-        else:
-            pairs = task_ch.get()  # [(seq, tuple wire), ...]
-            if pairs is None:
-                return
+        pairs = task_q.get()  # [(seq, tuple wire), ...]
+        if pairs is None:
+            return
         seqs = [seq for seq, _ in pairs]
-        if binary:
-            ack = encode_ack_message(index, seqs)
-            count_sent(len(ack))
-            ship(ack)
-        else:
-            ship(("ack", index, seqs))
+        result_q.put(("ack", index, seqs))
         if registry is not None:
             registry.counter("process.worker_batches").inc(1)
             if registry.full:
@@ -1068,16 +977,10 @@ def _process_worker_loop(
                 elif rule.kind is FaultKind.SLOW:
                     time.sleep(rule.delay)
                 elif rule.kind is FaultKind.FAIL:
-                    failed = [
+                    result_q.put(("res", index, [
                         (seq, None, "FaultError('injected worker failure')")
                         for seq in seqs
-                    ]
-                    if binary:
-                        data = encode_result_message(index, failed)
-                        count_sent(len(data))
-                        ship(data)
-                    else:
-                        ship(("res", index, failed))
+                    ]))
                     continue
         batch_span = (
             tracer.start_span("worker.batch", worker=index,
@@ -1085,41 +988,25 @@ def _process_worker_loop(
             if tracer is not None else None
         )
         out = []
-        for seq, item in pairs:
+        for seq, wire in pairs:
             try:
-                if binary:
-                    if isinstance(item, TraceDecodeError):
-                        raise item
-                    result = engine.check_trace(item)
-                else:
-                    result = engine.check_trace(decode_trace(item))
+                result = engine.check_trace(decode_trace(wire))
             except BaseException as exc:
                 out.append((seq, None, repr(exc)))
             else:
-                out.append((seq, result if binary else encode_result(result),
-                            None))
+                out.append((seq, encode_result(result), None))
         if batch_span is not None:
             batch_span.finish(checked=len(out))
         spans = tracer.drain_events() if tracer is not None else None
         delta = registry if registry is not None and registry else None
-        if binary:
-            data = encode_result_message(index, out, delta, spans)
-            if delta is not None:
-                registry.clear()
-            # Counted after the clear: this message's own size rides the
-            # *next* shipped delta, so the worker-side echo undercounts
-            # by the final message.  codec.result_bytes (collector side)
-            # is the authoritative total.
-            count_sent(len(data))
-            ship(data)
-        elif delta is not None or spans:
-            ship(("res", index, out,
-                  encode_registry(delta) if delta is not None else None,
-                  spans))
+        if delta is not None or spans:
+            result_q.put(("res", index, out,
+                          encode_registry(delta) if delta is not None else None,
+                          spans))
             if delta is not None:
                 registry.clear()
         else:
-            ship(("res", index, out))
+            result_q.put(("res", index, out))
 
 
 class ProcessBackend:
@@ -1128,17 +1015,10 @@ class ProcessBackend:
     Traces are flattened with the compact wire encoding and grouped
     into batches per IPC message (adaptive size unless pinned; see
     :class:`AdaptiveBatch`); workers pull batches from one shared task
-    channel (self-scheduling, no round-robin imbalance) and push
-    results back.  A collector thread on the submitting side decodes
-    results as they arrive, so ``drain`` only has to wait for the
-    outstanding count to hit zero and merge.
-
-    The channels are ``multiprocessing`` queues (``transport="queue"``)
-    or shared-memory rings (``transport="shm"``), where batches travel
-    as struct-packed byte strings instead of pickled tuples.
-    Outstanding traces are retained as *tuple* wires on both
-    transports, so requeueing and the
-    corrupted-in-transit diagnosis below are transport-independent.
+    queue (self-scheduling, no round-robin imbalance) and push results
+    back on a result queue.  A collector thread on the submitting side
+    decodes results as they arrive, so ``drain`` only has to wait for
+    the outstanding count to hit zero and merge.
 
     Supervision: wires are retained in ``_incomplete`` until their
     results arrive, workers announce the sequence numbers of every batch
@@ -1162,8 +1042,6 @@ class ProcessBackend:
         resilience: Optional[Resilience] = None,
         faults: Optional[FaultPlan] = None,
         metrics: Optional[MetricsRegistry] = None,
-        transport: Optional[str] = None,
-        ring_bytes: int = DEFAULT_RING_BYTES,
         cache_size: int = 0,
         engine: Optional[str] = None,
         shadow: Optional[str] = None,
@@ -1187,7 +1065,6 @@ class ProcessBackend:
         self.engine_name = resolve_engine_name(engine)
         self.shadow_name = resolve_shadow_name(shadow)
         self._batch = AdaptiveBatch(batch_size)
-        self._transport = resolve_transport_name(transport)
         self._rules = rules
         self._metrics = metrics
         #: accumulated worker-registry deltas plus collector-side
@@ -1200,20 +1077,14 @@ class ProcessBackend:
         self._resilience = resilience or DEFAULT_RESILIENCE
         self._faults = faults
         # fork (where available) shares the already-imported modules;
-        # spawn works too since the worker fn, rules, and rings are
-        # picklable (rings re-attach by segment name).
+        # spawn works too since the worker fn, rules, and queues are
+        # picklable.
         methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else None
         )
-        self._task_q = self._result_q = None
-        self._task_ring = self._result_ring = None
-        if self._transport == "shm":
-            self._task_ring = ShmRing(ring_bytes, ctx=self._ctx)
-            self._result_ring = ShmRing(ring_bytes, ctx=self._ctx)
-        else:
-            self._task_q = self._ctx.Queue()
-            self._result_q = self._ctx.Queue()
+        self._task_q = self._ctx.Queue()
+        self._result_q = self._ctx.Queue()
         # Pre-start the resource tracker so every worker shares it;
         # arena attach registrations then dedup against the creator's
         # instead of accumulating in per-worker private trackers that
@@ -1259,13 +1130,10 @@ class ProcessBackend:
 
     def _spawn_worker(self, index: int, faults: Optional[FaultPlan]):
         level = self._metrics.level.value if self._metrics is not None else None
-        shm = self._transport == "shm"
         process = self._ctx.Process(
             target=_process_worker,
-            args=(index,
-                  self._task_ring if shm else self._task_q,
-                  self._result_ring if shm else self._result_q,
-                  self._rules, faults, level, self._transport,
+            args=(index, self._task_q, self._result_q,
+                  self._rules, faults, level,
                   self._cache_size, self.engine_name, self._trace_ctx,
                   self.shadow_name),
             name=f"pmtest-checker-{index}",
@@ -1282,16 +1150,6 @@ class ProcessBackend:
     def batch_size(self) -> int:
         """Current traces-per-message (moves when adaptive)."""
         return self._batch.size
-
-    @property
-    def transport(self) -> str:
-        return self._transport
-
-    @property
-    def codec(self) -> str:
-        """Wire codec, fixed by the transport: ``shm`` ships binary
-        PMTB messages, ``queue`` pickled tuple wires."""
-        return "binary" if self._transport == "shm" else "pickle"
 
     @property
     def dispatched(self) -> int:
@@ -1336,14 +1194,7 @@ class ProcessBackend:
         if self._faults is not None:
             rule = self._faults.fire(FaultPoint.WIRE_ENCODE)
             if rule is not None and rule.kind is FaultKind.CORRUPT:
-                # The pickle wire is corrupted structurally; the binary
-                # codec needs its framing intact to *encode*, so the
-                # poison there is an opcode no decoder accepts.
-                corrupt = (
-                    corrupt_wire if self._transport == "queue"
-                    else corrupt_wire_framed
-                )
-                wire = corrupt(wire)
+                wire = corrupt_wire(wire)
         with self._done:
             seq = self._dispatched
             self._dispatched += 1
@@ -1362,55 +1213,31 @@ class ProcessBackend:
                     raise FaultError("injected task-queue failure")
         self._send_batch(batch)
 
-    def _send_batch(self, batch: List[Tuple[int, tuple]],
-                    timeout: Optional[float] = None) -> bool:
-        """Encode and ship one batch on the task channel.
-
-        Returns ``False`` only when an ``shm`` push gives up (timeout
-        while requeueing against a wedged ring, or the ring closed
-        under us); the queue transport always succeeds.
-        """
+    def _send_batch(self, batch: List[Tuple[int, tuple]]) -> None:
+        """Ship one batch on the task queue."""
         metrics = self._metrics
-        nbytes = None
-        if self._transport == "shm":
-            payload = encode_task_message(batch)
-            nbytes = len(payload)
-            try:
-                self._task_ring.push(payload, timeout=timeout)
-            except (TimeoutError, RingClosed):
-                return False
-        else:
-            payload = batch
-            if metrics is not None and metrics.full:
-                # The pickle wire's size is only observable by paying
-                # for a pickle, so it is metered at full level only.
-                nbytes = len(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
-            self._task_q.put(payload)
         if metrics is not None:
             counter = metrics.counter
             counter("process.batches").inc(1)
-            if nbytes is not None:
-                counter("codec.task_bytes").inc(nbytes)
-                counter("codec.task_traces").inc(len(batch))
-            if metrics.full and self._transport == "shm":
-                metrics.histogram("shm.task_ring_used").record(
-                    self._task_ring.used_bytes()
+            if metrics.full:
+                # The pickle wire's size is only observable by paying
+                # for a pickle, so it is metered at full level only.
+                counter("codec.task_bytes").inc(
+                    len(pickle.dumps(batch, pickle.HIGHEST_PROTOCOL))
                 )
-        self._observe_backpressure(payload, metrics)
-        return True
+                counter("codec.task_traces").inc(len(batch))
+        self._task_q.put(batch)
+        self._observe_backpressure(metrics)
 
-    def _observe_backpressure(self, payload, metrics) -> None:
-        """Feed the adaptive batcher a channel-depth estimate."""
+    def _observe_backpressure(self, metrics) -> None:
+        """Feed the adaptive batcher a task-queue depth estimate."""
         batcher = self._batch
         if batcher.fixed:
             return
-        if self._transport == "shm":
-            backlog = self._task_ring.used_bytes() // max(len(payload), 1)
-        else:
-            try:
-                backlog = self._task_q.qsize()
-            except NotImplementedError:  # pragma: no cover - macOS
-                return
+        try:
+            backlog = self._task_q.qsize()
+        except NotImplementedError:  # pragma: no cover - macOS
+            return
         batcher.observe(backlog, self._num_workers)
         if metrics is not None:
             metrics.gauge("process.batch_size").observe(batcher.size)
@@ -1418,9 +1245,6 @@ class ProcessBackend:
     # ------------------------------------------------------------------
     def drain_pairs(self) -> List[_SeqResult]:
         res = self._resilience
-        # Flush the partial batch outside the lock: an shm push may have
-        # to wait for ring space, and the workers freeing that space
-        # post results through _collect, which needs the lock.
         with self._done:
             batch, self._pending = self._pending, []
         if batch:
@@ -1517,11 +1341,6 @@ class ProcessBackend:
             )
 
     def _requeue_locked(self, seqs: Set[int]) -> int:
-        # Requeue sends use a bounded timeout: if every worker is dead
-        # and the ring is full, blocking forever under the lock would
-        # wedge the watchdog that is trying to recover.  A partial
-        # requeue is fine — the watchdog escalates to unhealthy on its
-        # next firing if progress still stalls.
         batch: List[Tuple[int, tuple]] = []
         n = 0
         for seq in sorted(seqs):
@@ -1530,13 +1349,11 @@ class ProcessBackend:
                 continue
             batch.append((seq, wire))
             if len(batch) >= self._batch.size:
-                if not self._send_batch(batch, timeout=1.0):
-                    return n
+                self._send_batch(batch)
                 n += len(batch)
                 batch = []
         if batch:
-            if not self._send_batch(batch, timeout=1.0):
-                return n
+            self._send_batch(batch)
             n += len(batch)
         return n
 
@@ -1587,26 +1404,6 @@ class ProcessBackend:
         if self._stopped:
             return
         self._stopped = True
-        if self._transport == "shm":
-            # Closing the task ring is the stop signal: workers drain
-            # what is left, hit RingClosed, and exit.
-            self._task_ring.close()
-            for process in self._processes:
-                process.join(timeout=1.0)
-            for process in self._processes:
-                if process.is_alive():
-                    process.terminate()
-                    process.join(timeout=1.0)
-                if process.is_alive():  # pragma: no cover - last resort
-                    process.kill()
-                    process.join(timeout=1.0)
-            # Workers are gone; closing the result ring lets the
-            # collector drain stragglers and return.
-            self._result_ring.close()
-            self._collector.join(timeout=2.0)
-            self._task_ring.release()
-            self._result_ring.release()
-            return
         alive = [p for p in self._processes if p.is_alive()]
         for _ in alive:
             try:
@@ -1636,39 +1433,12 @@ class ProcessBackend:
 
     def _collect(self) -> None:
         while True:
-            raw = None
-            if self._transport == "shm":
-                try:
-                    raw = self._result_ring.pop(timeout=0.5)
-                except TimeoutError:
-                    if self._stopped:
-                        return
-                    continue
-                except RingClosed:
-                    return
-                except Exception:  # pragma: no cover - teardown races
-                    if self._stopped:
-                        return
-                    raise
-                try:
-                    message = decode_message(raw)
-                except TraceDecodeError:
-                    with self._done:
-                        if self._remote_metrics is not None:
-                            self._remote_metrics.counter(
-                                "process.result_decode_errors"
-                            ).inc(1)
-                    continue
-                if message[0] == "stop":  # pragma: no cover - defensive
-                    return
-            else:
-                message = self._result_q.get()
-                if message is None:
-                    return
-            # Tuple result messages optionally carry a worker-registry
-            # delta (4th element) and shipped span events (5th); acks
-            # stay 3-tuples.  Binary messages decode to
-            # ("res", index, items, registry|None, spans|None).
+            message = self._result_q.get()
+            if message is None:
+                return
+            # Result messages optionally carry a worker-registry delta
+            # (4th element) and shipped span events (5th); acks stay
+            # 3-tuples.
             kind, index, payload = message[0], message[1], message[2]
             if (
                 self._tracer is not None
@@ -1682,8 +1452,6 @@ class ProcessBackend:
             with self._done:
                 self._last_seen[index] = time.monotonic()
                 remote = self._remote_metrics
-                if remote is not None and raw is not None:
-                    remote.counter("codec.result_bytes").inc(len(raw))
                 if kind == "ack":
                     if remote is not None:
                         remote.counter("process.acks").inc(1)
@@ -1692,11 +1460,7 @@ class ProcessBackend:
                     continue
                 if remote is not None and len(message) > 3:
                     delta = message[3]
-                    if delta is None:
-                        pass
-                    elif isinstance(delta, MetricsRegistry):
-                        remote.merge(delta)
-                    else:
+                    if delta is not None:
                         try:
                             remote.merge(decode_registry(delta))
                         except TraceDecodeError:
@@ -1714,9 +1478,6 @@ class ProcessBackend:
                     self._incomplete.pop(seq, None)
                     if error is not None:
                         self._errors.append((seq, error))
-                    elif isinstance(wire, TestResult):
-                        # Binary messages decode straight to results.
-                        self._results.append((seq, wire))
                     else:
                         try:
                             self._results.append((seq, decode_result(wire)))

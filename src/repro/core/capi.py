@@ -35,7 +35,6 @@ def PMTest_INIT(
     capture_sites: bool = False,
     backend: Optional[str] = None,
     batch_size: Optional[int] = None,
-    transport: Optional[str] = None,
     check_timeout: Optional[float] = None,
     max_retries: int = 2,
     fallback: bool = True,
@@ -46,8 +45,7 @@ def PMTest_INIT(
     ``backend`` selects the checking backend (``inline``/``thread``/
     ``process``; ``None`` derives it from ``workers``),
     ``batch_size`` pins traces-per-IPC-message for the process backend
-    (``None``: adaptive), and ``transport`` picks its IPC channel
-    (``queue``/``shm``).  ``check_timeout``/``max_retries``/
+    (``None``: adaptive).  ``check_timeout``/``max_retries``/
     ``fallback`` configure the checking pipeline's watchdog,
     worker-respawn budget, and backend degradation ladder; ``faults``
     installs a deterministic chaos plan (:mod:`repro.core.faults`).
@@ -61,7 +59,6 @@ def PMTest_INIT(
         capture_sites=capture_sites,
         backend=backend,
         batch_size=batch_size,
-        transport=transport,
         check_timeout=check_timeout,
         max_retries=max_retries,
         fallback=fallback,

@@ -2,7 +2,7 @@
 
 Epoch sharding (DESIGN.md §10) made large traces parallelizable, but the
 dispatch still shipped payload: every shard was re-encoded from its
-columns into the tuple wire, framed, copied through the transport,
+columns into the tuple wire, pickled, copied through the task queue,
 and re-decoded in the worker — the same bytes moving four times per
 shard.  A :class:`ColumnArena` removes all of it.  The submitting
 process lays a trace's columns out **once** in a named
@@ -28,11 +28,11 @@ The integer columns are 8-byte aligned so attaching is a
 and slicing them is free.  The meta blob (thread name plus the interned
 site table) is decoded once per attach, never per event.
 
-Lifecycle mirrors :class:`~repro.core.shm_ring.ShmRing`: the arena is
-immutable after build, pickles/travels by segment *name*, every process
-re-attaches at most once through the module-level cache
-(:func:`attach`), and only the building process — guarded by pid, since
-forked workers inherit the builder object — unlinks the segment on
+Lifecycle: the arena is immutable after build, travels by segment
+*name* inside a tuple-wire descriptor, every process re-attaches at
+most once through the module-level cache (:func:`attach`), and only
+the building process — guarded by pid, since forked workers inherit
+the builder object — unlinks the segment on
 :meth:`ColumnArena.release`.  ``release`` is idempotent and safe while
 readers still hold views: the name is unlinked immediately (POSIX keeps
 the pages alive for existing mappings) and our own mapping is closed

@@ -260,8 +260,9 @@ class ColumnarCheckingEngine:
     Mirrors :class:`~repro.core.engine.CheckingEngine`'s contract
     exactly — coalescing, verdict-cache flow, counters — so the two are
     interchangeable behind any backend.  Object-form traces are
-    columnarized on entry; the win is largest when the binary transport
-    decodes straight into columns and no object form ever exists.
+    columnarized on entry; the win is largest when a PMTB file decodes
+    straight into columns (:func:`~repro.core.traceio.load_traces_auto`
+    with ``columnar=True``) and no object form ever exists.
     """
 
     def __init__(

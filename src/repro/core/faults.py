@@ -318,6 +318,15 @@ class Resilience:
     backoff_base: float = 0.05
     fallback: bool = True
 
+    def __post_init__(self) -> None:
+        # A non-positive timeout would arm a watchdog that fires on the
+        # first poll of every drain.
+        if self.check_timeout is not None and not self.check_timeout > 0:
+            raise ValueError(
+                "check_timeout must be > 0 seconds, got "
+                f"{self.check_timeout!r}"
+            )
+
     @property
     def supervised(self) -> bool:
         """Whether any recovery bookkeeping is needed at all."""

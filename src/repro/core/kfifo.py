@@ -18,13 +18,6 @@ consumer dies), :meth:`KernelFifo.close` promptly wakes parked producers
 and consumers with :class:`FifoClosed`, and the producer path consults
 the session's chaos plan at the ``kfifo.put`` fault point so producer
 starvation is testable deterministically.
-
-Storage is a hook: the base class keeps Python objects in a deque,
-while :class:`ShmKernelFifo` keeps binary-encoded traces in a
-shared-memory ring (:mod:`repro.core.shm_ring`) — the layout a real
-``/proc/PMTest`` byte channel would have.  Park/wake hysteresis stays
-entry-count based either way, but the ring variant additionally parks
-producers when the ring lacks *byte* space for the next record.
 """
 
 from __future__ import annotations
@@ -37,8 +30,6 @@ from typing import Deque, Generic, Optional, TypeVar
 
 from repro.core.faults import FaultPlan, FaultPoint
 from repro.core.metrics import MetricsRegistry
-from repro.core.shm_ring import ShmRing
-from repro.core.traceio import decode_trace_binary, encode_trace_binary
 
 T = TypeVar("T")
 
@@ -77,37 +68,13 @@ class KernelFifo(Generic[T]):
 
     def __len__(self) -> int:
         with self._lock:
-            return self._store_len()
+            return len(self._items)
 
     @property
     def closed(self) -> bool:
         with self._lock:
             return self._closed
 
-    # ------------------------------------------------------------------
-    # Storage hooks (caller holds the lock).  The base class keeps the
-    # items themselves in a deque; ShmKernelFifo overrides these to keep
-    # encoded bytes in a shared-memory ring.
-    # ------------------------------------------------------------------
-    def _store_len(self) -> int:
-        return len(self._items)
-
-    def _store_append(self, item: T) -> None:
-        self._items.append(item)
-
-    def _store_pop(self) -> T:
-        return self._items.popleft()
-
-    def _has_room(self, item: T) -> bool:
-        """Whether ``item`` fits right now (entry count; subclasses may
-        add byte-space constraints)."""
-        return self._store_len() < self.capacity
-
-    def _wake_ok(self, item: T) -> bool:
-        """The parked producer's resume condition (hysteresis)."""
-        return self._store_len() < self.capacity // 2 and self._has_room(item)
-
-    # ------------------------------------------------------------------
     def put(self, item: T, timeout: Optional[float] = None) -> None:
         """Enqueue; block on the wait queue while the FIFO is full.
 
@@ -124,14 +91,17 @@ class KernelFifo(Generic[T]):
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
             metrics = self._metrics
-            if not self._has_room(item):
+            if len(self._items) >= self.capacity:
                 self.producer_waits += 1
                 wait_start = 0
                 if metrics is not None:
                     metrics.counter("kfifo.producer_waits").inc(1)
                     if metrics.full:
                         wait_start = perf_counter_ns()
-                while not self._closed and not self._wake_ok(item):
+                while (
+                    not self._closed
+                    and len(self._items) >= self.capacity // 2
+                ):
                     if deadline is None:
                         self._below_half.wait()
                     else:
@@ -148,12 +118,12 @@ class KernelFifo(Generic[T]):
                     )
             if self._closed:
                 raise FifoClosed("put on closed kernel FIFO")
-            self._store_append(item)
+            self._items.append(item)
             if metrics is not None:
                 metrics.counter("kfifo.puts").inc(1)
                 if metrics.full:
                     metrics.histogram("kfifo.occupancy").record(
-                        self._store_len()
+                        len(self._items)
                     )
             self._not_empty.notify()
 
@@ -162,7 +132,7 @@ class KernelFifo(Generic[T]):
         channel is closed and drained."""
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
-            while not self._store_len():
+            while not self._items:
                 if self._closed:
                     raise FifoClosed("kernel FIFO closed and empty")
                 if deadline is None:
@@ -173,10 +143,10 @@ class KernelFifo(Generic[T]):
                         timeout=remaining
                     ):
                         raise TimeoutError("kernel FIFO get timed out")
-            item = self._store_pop()
+            item = self._items.popleft()
             if self._metrics is not None:
                 self._metrics.counter("kfifo.gets").inc(1)
-            if self._store_len() < self.capacity // 2:
+            if len(self._items) < self.capacity // 2:
                 self._below_half.notify_all()
             return item
 
@@ -192,81 +162,3 @@ class KernelFifo(Generic[T]):
             self._not_empty.notify_all()
             self._below_half.notify_all()
 
-
-class ShmKernelFifo(KernelFifo["Trace"]):
-    """A :class:`KernelFifo` whose storage is a shared-memory byte ring.
-
-    Traces cross the simulated kernel/user boundary as binary codec
-    records (:mod:`repro.core.traceio`) in an
-    :class:`~repro.core.shm_ring.ShmRing` — the layout a real
-    ``/proc/PMTest`` byte channel would have — instead of as Python
-    object references in a deque.  Entry-count hysteresis is unchanged;
-    producers additionally park when the ring lacks byte space for the
-    next record, and every ``get`` below half capacity wakes them
-    (freed bytes and freed entries coincide).
-
-    Synchronization stays on the base class's in-process condition
-    variables: the bridge's "kernel" producer and user-space consumer
-    are threads of one process, so only the *storage* needs the
-    shared-memory discipline.
-    """
-
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CAPACITY,
-        faults: Optional[FaultPlan] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        ring_bytes: int = 1 << 20,
-    ) -> None:
-        super().__init__(capacity, faults=faults, metrics=metrics)
-        self._ring = ShmRing(ring_bytes)
-        self._count = 0
-
-    # --- storage hooks (lock held) ------------------------------------
-    def _store_len(self) -> int:
-        return self._count
-
-    def _store_append(self, item) -> None:
-        payload = encode_trace_binary(item)
-        if not self._ring.try_push(payload):
-            # _has_room admitted us, so only a concurrent close or a
-            # record larger than the whole ring can land here.
-            raise FifoClosed(
-                "kernel FIFO ring rejected a record "
-                f"({len(payload)} bytes, {self._ring.free_bytes()} free)"
-            )
-        self._count += 1
-        if self._metrics is not None and self._metrics.full:
-            self._metrics.histogram("kfifo.ring_used").record(
-                self._ring.used_bytes()
-            )
-
-    def _store_pop(self):
-        payload = self._ring.try_pop()
-        assert payload is not None, "pop with _store_len() == 0"
-        self._count -= 1
-        return decode_trace_binary(payload)
-
-    def _has_room(self, item) -> bool:
-        if self._count >= self.capacity:
-            return False
-        # 4-byte length frame per record (see shm_ring protocol).
-        need = len(encode_trace_binary(item)) + 4
-        if need > self._ring.capacity:
-            # No amount of draining will ever fit it; fail fast rather
-            # than parking the producer forever.
-            raise ValueError(
-                f"trace record of {need} bytes cannot fit the "
-                f"{self._ring.capacity}-byte kernel FIFO ring"
-            )
-        return self._ring.free_bytes() >= need
-
-    # --- lifecycle ----------------------------------------------------
-    def release(self) -> None:
-        """Detach from (and unlink) the backing shared-memory segment.
-
-        Call after the consumer has drained; a closed-and-released FIFO
-        raises :class:`FifoClosed` from both ends.  Idempotent.
-        """
-        self.close()
-        self._ring.release()

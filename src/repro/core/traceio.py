@@ -29,7 +29,6 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, TextIO, Tuple, Union
 
 from repro.core.column_arena import (
-    DESCRIPTOR_TAG as _ARENA_TAG,
     ArenaError,
     ArenaShardRef,
     is_descriptor as _is_arena_descriptor,
@@ -520,18 +519,15 @@ def corrupt_wire(wire: tuple) -> tuple:
 #
 # Versioning: the version byte is bumped on any layout change; decoders
 # reject versions they do not understand with TraceDecodeError (never a
-# silent misparse).  Message kinds share the framing so the process
-# backend's task/ack/result/stop channel and the on-disk trace format
-# are the same codec.
+# silent misparse).  Message kinds share the framing so the on-disk
+# trace format and the daemon's session frames are the same codec.
 
 BINARY_MAGIC = b"PMTB"
 BINARY_VERSION = 1
 
 _KIND_TRACES = 1
-_KIND_TASK = 2
-_KIND_ACK = 3
-_KIND_RESULT = 4
-_KIND_STOP = 5
+# Kinds 2-5 are retired (they framed an old process-backend task/ack/
+# result/stop channel); they stay unassigned so such frames fail typed.
 # Daemon session frames (repro.daemon): the checking service speaks the
 # same codec over stream sockets, one length-prefixed message per frame.
 _KIND_HELLO = 6
@@ -556,15 +552,6 @@ _EV_KNOWN = _EV_RANGE1 | _EV_RANGE2 | _EV_SITE | _EV_SEQ
 
 _LEVEL_TAGS = {Level.FAIL: 0, Level.WARN: 1}
 _TAG_LEVELS = {tag: level for level, tag in _LEVEL_TAGS.items()}
-
-#: opcode used by the framing-preserving CORRUPT fault; no Op uses it.
-_POISON_OP = 0xFF
-
-
-class _UnknownOpError(TraceDecodeError):
-    """Raised by event decode *after* the record's bytes are consumed,
-    so a caller can skip the bad trace and keep decoding the batch."""
-
 
 #: Precompiled message-head codec (magic | version u8 | kind u8): one
 #: pack/unpack per message instead of per-byte assembly on every frame.
@@ -760,44 +747,6 @@ def _write_trace_obj(w: _BinWriter, trace: Trace) -> None:
         )
 
 
-def _write_trace_wire(w: _BinWriter, wire: tuple) -> None:
-    """Encode a tuple-wire trace (the process backend keeps traces in
-    tuple form for requeue); validates structure but *not* opcode
-    membership, so the CORRUPT chaos fault can ship a poison opcode
-    that fails typed at decode time."""
-    trace_id, thread_name, events = _expect_tuple(wire, 3, "trace")
-    if not isinstance(trace_id, int) or isinstance(trace_id, bool):
-        raise TraceDecodeError(f"trace id must be an int, got {trace_id!r}")
-    if not isinstance(thread_name, str):
-        raise TraceDecodeError(
-            f"trace thread name must be a str, got {thread_name!r}"
-        )
-    if not isinstance(events, (tuple, list)):
-        raise TraceDecodeError(
-            f"trace events must be a sequence, got {events!r:.80}"
-        )
-    w.svarint(trace_id)
-    w.string(thread_name)
-    w.uvarint(len(events))
-    for index, event in enumerate(events):
-        op, addr, size, addr2, size2, site, seq = _expect_tuple(
-            event, 7, "event"
-        )
-        if (not isinstance(op, int) or isinstance(op, bool)
-                or not 0 <= op <= 0xFF):
-            raise TraceDecodeError(f"event op must fit one byte, got {op!r}")
-        for name, value in (("addr", addr), ("size", size),
-                            ("addr2", addr2), ("size2", size2),
-                            ("seq", seq)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TraceDecodeError(
-                    f"event {name} must be an int, got {value!r}"
-                )
-        _write_event_fields(
-            w, op, addr, size, addr2, size2, _decode_site(site), seq, index
-        )
-
-
 def _read_event(
     r: _BinReader, implied_seq: int, site_cache: Optional[dict] = None
 ) -> Event:
@@ -840,10 +789,7 @@ def _read_event(
     try:
         op = Op(op_value)
     except ValueError:
-        # Raised only after the record's bytes are fully consumed: the
-        # cursor is at the next record, so batch decoding can isolate
-        # the poisoned trace instead of losing the whole message.
-        raise _UnknownOpError(f"unknown op value {op_value}") from None
+        raise TraceDecodeError(f"unknown op value {op_value}") from None
     return Event(op, addr, size, addr2, size2, site, seq)
 
 
@@ -851,25 +797,14 @@ def _read_trace(r: _BinReader) -> Trace:
     trace_id = r.svarint("trace id")
     thread_name = r.string("trace thread name")
     n = r.count("event count")
-    events: List[Event] = []
-    bad: Optional[_UnknownOpError] = None
     site_cache: dict = {}
-    for index in range(n):
-        try:
-            events.append(_read_event(r, index, site_cache))
-        except _UnknownOpError as exc:
-            if bad is None:
-                bad = exc
-    if bad is not None:
-        raise bad
+    events = [_read_event(r, index, site_cache) for index in range(n)]
     trace = Trace(trace_id, thread_name=thread_name)
     trace.events = events  # wire discipline: seq preserved verbatim
     return trace
 
 
-def _read_trace_columnar(
-    r: _BinReader, check_from: int = 0, is_shard: bool = False
-) -> ColumnarTrace:
+def _read_trace_columnar(r: _BinReader) -> ColumnarTrace:
     """Decode one trace record straight into struct-of-arrays columns.
 
     This is the columnar engine's ingest hot path, so it is hand-inlined
@@ -878,8 +813,8 @@ def _read_trace_columnar(
     per-event :class:`Event`/:class:`SourceSite` allocation (sites are
     interned per ``(file, line, function)`` ref triple), and column
     preallocation from the leading event count.  Field layout and error
-    semantics mirror :func:`_read_event` — including the deferred
-    :class:`_UnknownOpError` that lets a batch skip one poisoned trace.
+    semantics mirror :func:`_read_event`; an unknown opcode is noted in
+    the loop and raised once the record is read.
     """
     buf = r.buf
     pos = r.pos
@@ -1077,9 +1012,7 @@ def _read_trace_columnar(
         raise TraceDecodeError("truncated event") from None
     r.pos = pos
     if bad_op >= 0:
-        # Deferred like _read_event: the cursor sits at the next record,
-        # so the rest of a task batch survives one poisoned trace.
-        raise _UnknownOpError(f"unknown op value {bad_op}")
+        raise TraceDecodeError(f"unknown op value {bad_op}")
     return ColumnarTrace(
         trace_id,
         thread_name,
@@ -1092,8 +1025,6 @@ def _read_trace_columnar(
         site_idx,
         site_table,
         seqs,
-        check_from,
-        is_shard,
     )
 
 
@@ -1269,7 +1200,7 @@ def decode_traces_binary_columnar(data) -> List[ColumnarTrace]:
 
 
 def encode_trace_binary(trace: Trace) -> bytes:
-    """Encode a single trace (the shared-memory KernelFifo payload)."""
+    """Encode a single trace as a one-trace ``traces`` message."""
     return encode_traces_binary([trace])
 
 
@@ -1287,7 +1218,7 @@ def dump_traces_binary(traces: Iterable[Trace],
     """Write traces in the compact binary format; returns trace count.
 
     The binary dump is a single ``traces`` message — the same codec the
-    process backend uses on the wire — so it is typically 5-10x smaller
+    daemon speaks on its sockets — so it is typically 5-10x smaller
     than the JSON-lines dump for site-free traces.
     """
     traces = list(traces)
@@ -1433,105 +1364,6 @@ def load_traces_auto(source: Union[str, Path], columnar: bool = False):
                 data = path.read_bytes()
             return LazyBinaryTraces(data, columnar=columnar, source=path)
     return load_traces(path)
-
-
-# --- IPC messages (process-backend channels) --------------------------
-def encode_task_message(batch: Iterable[Tuple[int, tuple]]) -> bytes:
-    """Encode a task batch of ``(seq, tuple-wire trace)`` pairs.
-
-    Each trace carries a leading *shard tag*: ``0`` for a plain trace,
-    ``1`` for an arena shard descriptor (segment name + offsets, no
-    payload), ``check_from + 2`` for an inline epoch shard (4-tuple
-    wire) — one varint byte in the common case, and the tag travels
-    outside the trace record so the columnar decoder stays oblivious
-    to it.
-    """
-    batch = list(batch)
-    w = _BinWriter()
-    w.uvarint(len(batch))
-    for seq, wire in batch:
-        w.svarint(seq)
-        if _is_arena_descriptor(wire):
-            _tag, name, trace_id, end, check_from = wire
-            if not isinstance(name, str):
-                raise TraceDecodeError(
-                    f"arena descriptor name must be a str, got {name!r}"
-                )
-            if not isinstance(trace_id, int) or isinstance(trace_id, bool):
-                raise TraceDecodeError(
-                    f"arena descriptor trace id must be an int, "
-                    f"got {trace_id!r}"
-                )
-            for what, value in (("end", end), ("check_from", check_from)):
-                if (not isinstance(value, int) or isinstance(value, bool)
-                        or value < 0):
-                    raise TraceDecodeError(
-                        f"arena descriptor {what} must be a non-negative "
-                        f"int, got {value!r}"
-                    )
-            w.uvarint(1)
-            w.string(name)
-            w.svarint(trace_id)
-            w.uvarint(end)
-            w.uvarint(check_from)
-        elif isinstance(wire, (tuple, list)) and len(wire) == 4:
-            check_from = wire[3]
-            if (not isinstance(check_from, int)
-                    or isinstance(check_from, bool) or check_from < 0):
-                raise TraceDecodeError(
-                    f"shard check_from must be a non-negative int, "
-                    f"got {check_from!r}"
-                )
-            w.uvarint(check_from + 2)
-            _write_trace_wire(w, tuple(wire[:3]))
-        else:
-            w.uvarint(0)
-            _write_trace_wire(w, wire)
-    return w.finish(_KIND_TASK)
-
-
-def encode_ack_message(worker: int, seqs: Iterable[int]) -> bytes:
-    seqs = list(seqs)
-    w = _BinWriter()
-    w.uvarint(worker)
-    w.uvarint(len(seqs))
-    for seq in seqs:
-        w.svarint(seq)
-    return w.finish(_KIND_ACK)
-
-
-def encode_result_message(
-    worker: int,
-    items: Iterable[Tuple[int, Optional[TestResult], Optional[str]]],
-    registry: "Optional[MetricsRegistry]" = None,
-    spans: Optional[List[dict]] = None,
-) -> bytes:
-    """Encode a result batch: ``(seq, result-or-None, error-or-None)``
-    triples plus optional piggybacked deltas — a metrics registry and/or
-    a batch of Chrome span events the worker recorded (both cleared on
-    the sending side after the ship, so each delta travels once)."""
-    items = list(items)
-    w = _BinWriter()
-    w.uvarint(worker)
-    w.u8((1 if registry is not None else 0) | (2 if spans else 0))
-    w.uvarint(len(items))
-    for seq, result, error in items:
-        w.svarint(seq)
-        if error is not None:
-            w.u8(1)
-            w.string(error)
-        else:
-            w.u8(0)
-            _write_result(w, result)
-    if registry is not None:
-        _write_registry(w, registry)
-    if spans:
-        w.string(json.dumps(spans, sort_keys=True, separators=(",", ":")))
-    return w.finish(_KIND_RESULT)
-
-
-def encode_stop_message() -> bytes:
-    return _BinWriter().finish(_KIND_STOP)
 
 
 # --- daemon session messages (repro.daemon) ---------------------------
@@ -1719,17 +1551,12 @@ def _read_json(r: _BinReader, what: str, expect: type) -> object:
     return payload
 
 
-def decode_message(data, columnar: bool = False) -> tuple:
+def decode_message(data) -> tuple:
     """Decode any binary message; the first element names its kind.
 
     Returns one of::
 
         ("traces", [Trace, ...])
-        ("task", [(seq, Trace | ColumnarTrace | TraceDecodeError), ...])
-        ("ack", worker, [seq, ...])
-        ("res", worker, [(seq, TestResult|None, error|None), ...],
-         registry | None)
-        ("stop",)
         ("hello", tenant, {option: value, ...}, span | None)
         ("welcome", session_id, max_frame)
         ("drain", span | None)
@@ -1744,88 +1571,12 @@ def decode_message(data, columnar: bool = False) -> tuple:
         ("flight_req",)
         ("flight", [event, ...])
 
-    ``columnar=True`` decodes task/traces payloads straight into
-    :class:`ColumnarTrace` columns (no per-event objects) — the fast
-    ingest path for the columnar engine.  Epoch shards (non-zero shard
-    tag in a task batch) always decode columnar, since only the
-    columnar engine replays them; arena shard descriptors (tag ``1``)
-    skip decode entirely and resolve to zero-copy views over the named
-    shared-memory column arena.
-
-    A poisoned trace inside a task batch (unknown opcode — the CORRUPT
-    chaos fault) decodes to its per-seq :class:`TraceDecodeError` while
-    the rest of the batch survives; framing damage fails the whole
-    message with :class:`TraceDecodeError`.
+    Any damage, and any kind not listed, fails the whole message with
+    :class:`TraceDecodeError`.
     """
     r = _BinReader(data)
     if r.kind == _KIND_TRACES:
-        if columnar:
-            return ("traces", [_read_trace_columnar(r)
-                               for _ in range(r.count("trace count"))])
         return ("traces", [_read_trace(r) for _ in range(r.count("trace count"))])
-    if r.kind == _KIND_TASK:
-        pairs: List[Tuple[int, object]] = []
-        for _ in range(r.count("task count")):
-            seq = r.svarint("task seq")
-            tag = r.uvarint("task shard tag")
-            if tag == 1:  # arena shard descriptor: resolve, zero decode
-                name = r.string("arena name")
-                trace_id = r.svarint("arena trace id")
-                end = r.uvarint("arena end")
-                check_from = r.uvarint("arena check_from")
-                try:
-                    pairs.append((seq, _resolve_arena_descriptor(
-                        (_ARENA_TAG, name, trace_id, end, check_from)
-                    )))
-                except ArenaError as exc:
-                    # Isolated per entry like a poisoned trace: the rest
-                    # of the batch survives one unresolvable descriptor.
-                    pairs.append((seq, TraceDecodeError(
-                        f"arena shard descriptor failed: {exc}"
-                    )))
-                continue
-            try:
-                if tag or columnar:
-                    pairs.append((seq, _read_trace_columnar(
-                        r,
-                        check_from=tag - 2 if tag else 0,
-                        is_shard=bool(tag),
-                    )))
-                else:
-                    pairs.append((seq, _read_trace(r)))
-            except _UnknownOpError as exc:
-                # Hand callers the plain base class: _UnknownOpError is
-                # an internal cursor-is-still-consistent marker, and
-                # worker error strings are built from repr(), which
-                # should show the stable TraceDecodeError name.
-                pairs.append((seq, TraceDecodeError(str(exc))))
-        return ("task", pairs)
-    if r.kind == _KIND_ACK:
-        worker = r.uvarint("ack worker")
-        return ("ack", worker,
-                [r.svarint("ack seq") for _ in range(r.count("ack count"))])
-    if r.kind == _KIND_RESULT:
-        worker = r.uvarint("result worker")
-        flags = r.u8("result delta flags")
-        if flags > 3:
-            raise TraceDecodeError(f"bad result delta flags {flags}")
-        items: List[Tuple[int, Optional[TestResult], Optional[str]]] = []
-        for _ in range(r.count("result count")):
-            seq = r.svarint("result seq")
-            tag = r.u8("result tag")
-            if tag == 0:
-                items.append((seq, _read_result(r), None))
-            elif tag == 1:
-                items.append((seq, None, r.string("result error")))
-            else:
-                raise TraceDecodeError(f"unknown result tag {tag}")
-        registry = _read_registry(r) if flags & 1 else None
-        spans = (
-            _read_json(r, "result spans", list) if flags & 2 else None
-        )
-        return ("res", worker, items, registry, spans)
-    if r.kind == _KIND_STOP:
-        return ("stop",)
     if r.kind == _KIND_HELLO:
         tenant = r.string("hello tenant")
         options: Dict[str, str] = {}
@@ -1879,29 +1630,6 @@ def decode_message(data, columnar: bool = False) -> tuple:
     if r.kind == _KIND_FLIGHT:
         return ("flight", _read_json(r, "flight events", list))
     raise TraceDecodeError(f"unknown binary message kind {r.kind}")
-
-
-def corrupt_wire_framed(wire: tuple) -> tuple:
-    """CORRUPT chaos fault for binary-codec transports.
-
-    :func:`corrupt_wire` truncates a tuple, which the binary encoder
-    would reject at *encode* time — the wrong side.  This variant keeps
-    the tuple well-formed but swaps the first event's opcode for a
-    value no :class:`Op` member uses, so the trace encodes fine and
-    fails with :class:`TraceDecodeError` at decode, exercising the
-    corruption-in-transit path end to end.  Arena shard descriptors
-    frame fine either way, so they get the same cannot-exist segment
-    name as :func:`corrupt_wire` and fail typed at resolve time.
-    """
-    if _is_arena_descriptor(wire):
-        return (wire[0], "pmca-corrupted", wire[2], wire[3], wire[4])
-    trace_id, thread_name, events = wire[0], wire[1], wire[2]
-    if events:
-        first = (_POISON_OP,) + tuple(events[0])[1:]
-        events = (first,) + tuple(events[1:])
-    else:
-        events = ((_POISON_OP, 0, 0, 0, 0, None, 0),)
-    return (trace_id, thread_name, events) + tuple(wire[3:])
 
 
 class TraceRecorder:

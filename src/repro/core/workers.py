@@ -110,12 +110,6 @@ class WorkerPool:
         Traces per IPC message (process backend only).  ``None``
         (default) lets the batch size adapt to backpressure between 1
         and ``MAX_BATCH_SIZE``; an explicit integer pins it.
-    transport:
-        ``"queue"`` or ``"shm"`` — how process-backend batches cross
-        the process boundary (``None`` consults ``PMTEST_TRANSPORT``,
-        defaulting to ``queue``).  The transport fixes the wire codec:
-        ``queue`` pickles tuple wires, ``shm`` ships binary PMTB
-        messages.  Ignored by inline/thread backends.
     check_timeout:
         Per-drain watchdog (seconds).  After this long with no trace
         completing, outstanding work is requeued once; if that brings
@@ -205,7 +199,6 @@ class WorkerPool:
         name: str = "pmtest",
         backend: Optional[str] = None,
         batch_size: Optional[int] = None,
-        transport: Optional[str] = None,
         check_timeout: Optional[float] = None,
         max_retries: int = 2,
         fallback: bool = True,
@@ -272,7 +265,6 @@ class WorkerPool:
         self._num_workers = num_workers
         self._name = name
         self._batch_size = batch_size
-        self._transport = transport
         #: resolved once so degradation rebuilds use the same capacity
         self._cache_size = resolve_cache_size(
             verdict_cache, verdict_cache_size
@@ -302,7 +294,6 @@ class WorkerPool:
             rules,
             num_workers=num_workers,
             batch_size=batch_size,
-            transport=transport,
             thread_name=name,
             resilience=self._resilience,
             faults=faults,
@@ -322,18 +313,14 @@ class WorkerPool:
         self._carry: List[_CarryPair] = []
         self._closed = False
         self._final: Optional[Tuple[str, object]] = None
+        #: ``(submitted count, result)`` of the last completed drain
+        self._drained: Optional[Tuple[int, TestResult]] = None
 
     # ------------------------------------------------------------------
     @property
     def backend_name(self) -> str:
         """Which checking backend is active (inline/thread/process)."""
         return self._backend.name
-
-    @property
-    def transport(self) -> str:
-        """The active backend's transport (``queue`` for in-process
-        backends, which never cross a process boundary)."""
-        return getattr(self._backend, "transport", "queue")
 
     @property
     def num_workers(self) -> int:
@@ -544,6 +531,7 @@ class WorkerPool:
             result.metadata["epoch_shards"] = sum(
                 count for _, count in self._shard_spans
             )
+        self._drained = (self._global_seq, result)
         return result
 
     def _fold_shards(self, pairs: List[_CarryPair]) -> List[_CarryPair]:
@@ -619,7 +607,6 @@ class WorkerPool:
             self._rules,
             num_workers=max(self._num_workers, 1),
             batch_size=self._batch_size,
-            transport=self._transport,
             thread_name=self._name,
             resilience=self._resilience,
             metrics=self._metrics,
@@ -649,7 +636,15 @@ class WorkerPool:
             return value  # type: ignore[return-value]
         self._closed = True
         try:
-            result = self.drain()
+            drained = self._drained
+            if drained is not None and drained[0] == self._global_seq:
+                # Nothing was submitted since the last drain, so its
+                # verdict is final; draining again would do no work but
+                # still count a drain that no caller's verdict reflects.
+                result = TestResult()
+                result.merge(drained[1])
+            else:
+                result = self.drain()
         except BaseException as exc:
             self._final = ("err", exc)
             raise

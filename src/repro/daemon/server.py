@@ -127,8 +127,8 @@ class CheckingServer:
 
     ``rules_factory`` builds one fresh rules object per session (rules
     may carry per-run state, so sessions must not share one); all the
-    checking knobs (``workers``/``backend``/``transport``/``engine``/
-    ``shadow``/``shard_min_events``/``shard_plan``/``batch_size``/
+    checking knobs (``workers``/``backend``/``engine``/``shadow``/
+    ``shard_min_events``/``shard_plan``/``batch_size``/
     ``verdict_cache``) mirror
     :class:`~repro.core.workers.WorkerPool` and are applied to every
     session pool identically — that is what makes daemon verdicts
@@ -144,7 +144,6 @@ class CheckingServer:
         uds: Optional[str] = None,
         workers: int = 1,
         backend: Optional[str] = None,
-        transport: Optional[str] = None,
         engine: Optional[str] = None,
         shadow: Optional[str] = None,
         shard_min_events: Optional[int] = None,
@@ -175,7 +174,6 @@ class CheckingServer:
         self._uds = uds
         self._workers = workers
         self._backend = backend
-        self._transport = transport
         self._engine = engine
         self._shadow = shadow
         self._shard_min_events = shard_min_events
@@ -360,7 +358,6 @@ class CheckingServer:
             num_workers=self._workers,
             backend=self._backend,
             batch_size=self._batch_size,
-            transport=self._transport,
             engine=self._engine,
             shadow=self._shadow,
             shard_min_events=self._shard_min_events,

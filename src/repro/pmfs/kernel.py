@@ -30,29 +30,16 @@ from typing import List, Optional, Tuple
 from repro.core.backends import CheckingFailed
 from repro.core.events import Trace
 from repro.core.faults import FaultPlan
-from repro.core.kfifo import (
-    DEFAULT_CAPACITY,
-    FifoClosed,
-    KernelFifo,
-    ShmKernelFifo,
-)
+from repro.core.kfifo import DEFAULT_CAPACITY, FifoClosed, KernelFifo
 from repro.core.metrics import MetricsRegistry, make_registry
 from repro.core.reports import TestResult
 from repro.core.rules import PersistencyRules
 from repro.core.tracing import Tracer
-from repro.core.backends import resolve_transport_name
 from repro.core.workers import WorkerPool, _METRICS_FROM_ENV
 
 
 class KernelBridge:
-    """A trace sink that crosses a simulated kernel/user boundary.
-
-    ``transport`` selects both legs: the kernel FIFO's backing
-    (``shm`` stores binary-encoded traces in a shared-memory ring,
-    ``queue`` keeps the historical in-process deque) and the worker
-    pool's process-backend IPC channel.  ``None`` consults
-    ``PMTEST_TRANSPORT``.
-    """
+    """A trace sink that crosses a simulated kernel/user boundary."""
 
     def __init__(
         self,
@@ -61,7 +48,6 @@ class KernelBridge:
         fifo_capacity: int = DEFAULT_CAPACITY,
         backend: Optional[str] = None,
         batch_size: Optional[int] = None,
-        transport: Optional[str] = None,
         check_timeout: Optional[float] = None,
         max_retries: int = 2,
         fallback: bool = True,
@@ -79,9 +65,7 @@ class KernelBridge:
         self._fifo_metrics: Optional[MetricsRegistry] = (
             MetricsRegistry(metrics.level) if metrics is not None else None
         )
-        self._transport = resolve_transport_name(transport)
-        fifo_cls = ShmKernelFifo if self._transport == "shm" else KernelFifo
-        self.fifo: KernelFifo[Trace] = fifo_cls(
+        self.fifo: KernelFifo[Trace] = KernelFifo(
             fifo_capacity, faults=faults, metrics=self._fifo_metrics
         )
         self.pool = WorkerPool(
@@ -89,7 +73,6 @@ class KernelBridge:
             num_workers=max(num_workers, 0),
             backend=backend,
             batch_size=batch_size,
-            transport=transport,
             check_timeout=check_timeout,
             max_retries=max_retries,
             fallback=fallback,
@@ -199,11 +182,6 @@ class KernelBridge:
         finally:
             self.fifo.close()
             self._consumer.join(timeout=5)
-            # Ring-backed FIFOs own a shared-memory segment; reclaim it
-            # once the consumer is done draining.
-            release = getattr(self.fifo, "release", None)
-            if release is not None:
-                release()
 
     # ------------------------------------------------------------------
     def _consume(self) -> None:

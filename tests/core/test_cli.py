@@ -80,6 +80,26 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "more" in out
 
+    def test_negative_max_reports_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.pmtrace"
+        record_buggy_trace(path)
+        assert main(["check", str(path), "--max-reports", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "--max-reports" in captured.err
+        assert "more" not in captured.out
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "/nonexistent.pmtrace"],
+        ["serve", "--uds", "/nonexistent/d.sock"],
+    ], ids=["check", "serve"])
+    def test_transport_flag_is_gone(self, argv, capsys):
+        """The process backend has one channel; --transport is refused
+        by the parser."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--transport", "queue"])
+        assert excinfo.value.code == 2
+        assert "--transport" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["check", "/nonexistent.pmtrace"]) == 2
         assert "no such file" in capsys.readouterr().err
@@ -109,6 +129,18 @@ class TestResilienceFlags:
         record_buggy_trace(path)
         assert main(["check", str(path), "--max-retries", "-1"]) == 2
         assert "--max-retries" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("timeout", ["0", "-1"])
+    def test_nonpositive_check_timeout_exits_2(self, tmp_path, capsys,
+                                               timeout):
+        path = tmp_path / "run.pmtrace"
+        record_buggy_trace(path)
+        assert main([
+            "check", str(path), "--workers", "2", "--check-timeout", timeout,
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "check_timeout must be > 0" in captured.err
+        assert "watchdog" not in captured.out
 
     def test_chaos_seed_does_not_change_the_verdict(self, tmp_path, capsys):
         path = tmp_path / "run.pmtrace"
@@ -259,6 +291,27 @@ class TestServeAndSubmitCommands:
             "--deadline", "2",
         ]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_submit_negative_max_reports_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.pmtrace"
+        record_buggy_trace(path)
+        assert main([
+            "submit", str(path),
+            "--connect", str(tmp_path / "nowhere.sock"),
+            "--max-reports", "-1",
+        ]) == 2
+        assert "--max-reports" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("timeout", ["0", "-1"])
+    def test_serve_nonpositive_check_timeout_exits_2(
+        self, tmp_path, capsys, timeout
+    ):
+        uds = tmp_path / "d.sock"
+        assert main([
+            "serve", "--uds", str(uds), "--check-timeout", timeout,
+        ]) == 2
+        assert "check_timeout must be > 0" in capsys.readouterr().err
+        assert not uds.exists()  # refused before listening
 
     def test_serve_requires_a_listener(self, capsys):
         assert main(["serve"]) == 2

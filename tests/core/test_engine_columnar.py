@@ -5,7 +5,7 @@ pure performance knob.  For any trace — well-formed or structurally
 invalid — the columnar engine produces the same wire-encoded
 :class:`TestResult` (reports in the same order with the same messages),
 the same counter fields, the same merged metrics, and the same
-exceptions as the object engine, across every backend, transport and
+exceptions as the object engine, across every backend and
 verdict-cache configuration.  The replay fast paths this pins down:
 
 * inline write / write+writeback fusion / flush / sfence dispatch,
@@ -270,7 +270,7 @@ class TestFastPathRegressions:
 
 
 # ----------------------------------------------------------------------
-# Pool-level matrix: backends x transports x verdict cache
+# Pool-level matrix: backends x verdict cache
 # ----------------------------------------------------------------------
 
 
@@ -299,14 +299,7 @@ def _corpus():
 _POOL_CONFIGS = [
     pytest.param({"num_workers": 0}, id="inline"),
     pytest.param({"num_workers": 2, "backend": "thread"}, id="thread"),
-    pytest.param(
-        {"num_workers": 2, "backend": "process", "transport": "queue"},
-        id="process-queue-pickle",
-    ),
-    pytest.param(
-        {"num_workers": 2, "backend": "process", "transport": "shm"},
-        id="process-shm-binary",
-    ),
+    pytest.param({"num_workers": 2, "backend": "process"}, id="process"),
 ]
 
 

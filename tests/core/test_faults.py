@@ -14,6 +14,7 @@ from repro.core.faults import (
     Resilience,
     plan_from_seed,
 )
+from repro.core.workers import WorkerPool
 
 
 class TestFaultRule:
@@ -173,3 +174,12 @@ class TestResilience:
     def test_watchdog_alone_is_supervised(self):
         policy = Resilience(check_timeout=1.0, max_retries=0, fallback=False)
         assert policy.supervised
+
+    @pytest.mark.parametrize("timeout", [0, 0.0, -1, float("nan")])
+    def test_nonpositive_check_timeout_rejected(self, timeout):
+        """A watchdog that fires on the first poll of every drain is
+        refused where every caller builds the policy."""
+        with pytest.raises(ValueError, match="check_timeout must be > 0"):
+            Resilience(check_timeout=timeout)
+        with pytest.raises(ValueError, match="check_timeout must be > 0"):
+            WorkerPool(num_workers=0, check_timeout=timeout)

@@ -6,8 +6,7 @@ performance knob.  For any trace — well-formed or structurally invalid
 wire-encoded :class:`TestResult`, the same counter fields (including
 ``engine.interval_queries``/``engine.interval_scanned``), and the same
 exceptions as the object store, across both engines, every backend,
-transport, verdict-cache configuration, epoch sharding, and chaos
-fault plans.  The replay fast paths this pins down:
+verdict-cache configuration, epoch sharding, and chaos fault plans.  The replay fast paths this pins down:
 
 * batched sort-and-sweep write runs through ``assign_codes_many``,
 * the code-level silent/fused flush (``update_codes`` + flush memo),
@@ -164,7 +163,7 @@ class TestShadowDifferential:
 
 
 # ----------------------------------------------------------------------
-# Pool-level matrix: engine x backend x transport x cache (+ chaos)
+# Pool-level matrix: engine x backend x cache (+ chaos)
 # ----------------------------------------------------------------------
 
 
@@ -203,14 +202,7 @@ def _corpus():
 _POOL_CONFIGS = [
     pytest.param({"num_workers": 0}, id="inline"),
     pytest.param({"num_workers": 2, "backend": "thread"}, id="thread"),
-    pytest.param(
-        {"num_workers": 2, "backend": "process", "transport": "queue"},
-        id="process-queue-pickle",
-    ),
-    pytest.param(
-        {"num_workers": 2, "backend": "process", "transport": "shm"},
-        id="process-shm-binary",
-    ),
+    pytest.param({"num_workers": 2, "backend": "process"}, id="process"),
 ]
 
 

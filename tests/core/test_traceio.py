@@ -15,11 +15,11 @@ from repro.core.rules import HOPSRules
 from repro.core.metrics import MetricsLevel, MetricsRegistry
 from repro.core.traceio import (
     BINARY_MAGIC,
+    BINARY_VERSION,
     TraceDecodeError,
     TraceFormatError,
     TraceRecorder,
     corrupt_wire,
-    corrupt_wire_framed,
     decode_event,
     decode_message,
     decode_registry,
@@ -29,15 +29,13 @@ from repro.core.traceio import (
     decode_traces_binary,
     dump_traces,
     dump_traces_binary,
-    encode_ack_message,
     encode_event,
     encode_registry,
     encode_result,
-    encode_result_message,
-    encode_task_message,
     encode_trace,
     encode_trace_binary,
     encode_traces_binary,
+    encode_verdict_message,
     load_traces,
     load_traces_auto,
     load_traces_binary,
@@ -469,75 +467,21 @@ class TestBinaryRoundTrip:
         assert load_traces_binary(golden) == sample_traces()
 
 
-class TestBinaryMessages:
-    def test_task_message_roundtrip(self):
-        traces = sample_traces()
-        batch = [(7, encode_trace(traces[0])), (9, encode_trace(traces[1]))]
-        kind, pairs = decode_message(encode_task_message(batch))
-        assert kind == "task"
-        assert [seq for seq, _ in pairs] == [7, 9]
-        assert [t for _, t in pairs] == traces
+def retired_kind_frame(kind: int) -> bytes:
+    """A well-framed message of a retired kind: empty string table and
+    a zero count, which kind 2 (the old task batch) used to accept."""
+    return BINARY_MAGIC + bytes([BINARY_VERSION, kind, 0, 0])
 
-    def test_ack_message_roundtrip(self):
-        assert decode_message(encode_ack_message(3, [5, 6, 11])) == (
-            "ack", 3, [5, 6, 11]
-        )
 
-    def test_result_message_roundtrip(self):
-        result = TestResult(traces_checked=2, events_checked=10)
-        data = encode_result_message(
-            1, [(4, result, None), (5, None, "boom")]
-        )
-        kind, worker, items, registry, spans = decode_message(data)
-        assert (kind, worker) == ("res", 1)
-        assert items[0] == (4, result, None)
-        assert items[1] == (5, None, "boom")
-        assert registry is None
-        assert spans is None
+class TestRetiredMessageKinds:
+    """Kinds 2-5 framed a process-backend channel that no longer
+    exists; they are unassigned and must fail typed."""
 
-    def test_result_message_carries_registry(self):
-        registry = MetricsRegistry(MetricsLevel.FULL)
-        registry.counter("engine.traces").inc(3)
-        registry.histogram("engine.latency").record(17)
-        data = encode_result_message(0, [], registry=registry)
-        _, _, _, decoded, _ = decode_message(data)
-        assert decoded.counter_value("engine.traces") == 3
-        assert decoded.to_dict() == registry.to_dict()
-
-    def test_poisoned_trace_is_isolated_in_batch(self):
-        """corrupt_wire_framed's poison op fails only its own trace;
-        neighbours in the same message decode fine."""
-        traces = sample_traces()
-        batch = [
-            (0, corrupt_wire_framed(encode_trace(traces[0]))),
-            (1, encode_trace(traces[1])),
-        ]
-        kind, pairs = decode_message(encode_task_message(batch))
-        assert kind == "task"
-        assert isinstance(pairs[0][1], TraceDecodeError)
-        assert "TraceDecodeError" in repr(pairs[0][1])
-        assert pairs[1][1] == traces[1]
-
-    def test_poisoned_wire_also_fails_tuple_decode(self):
-        """The stored tuple wire of a poisoned trace must fail
-        decode_trace too, so the corrupted-in-transit diagnosis is
-        transport-independent."""
-        poisoned = corrupt_wire_framed(encode_trace(sample_traces()[0]))
-        with pytest.raises(TraceDecodeError, match="unknown op"):
-            decode_trace(poisoned)
-
-    def test_corrupt_wire_framed_on_empty_trace(self):
-        """Even an empty trace gets a poison event appended, so the
-        corruption is never a silent no-op."""
-        poisoned = corrupt_wire_framed(encode_trace(Trace(0)))
-        with pytest.raises(TraceDecodeError):
-            decode_trace(poisoned)
-        _, pairs = decode_message(encode_task_message([(0, poisoned)]))
-        assert isinstance(pairs[0][1], TraceDecodeError)
-
-    def test_corrupt_wire_framed_is_deterministic(self):
-        wire = encode_trace(sample_traces()[0])
-        assert corrupt_wire_framed(wire) == corrupt_wire_framed(wire)
+    @pytest.mark.parametrize("kind", [2, 3, 4, 5])
+    def test_retired_kind_is_unknown(self, kind):
+        with pytest.raises(TraceDecodeError,
+                           match="unknown binary message kind"):
+            decode_message(retired_kind_frame(kind))
 
 
 class TestBinaryCorruption:
@@ -552,11 +496,8 @@ class TestBinaryCorruption:
         registry.histogram("h").record(9)
         return [
             encode_traces_binary(traces),
-            encode_task_message([(3, encode_trace(traces[0]))]),
-            encode_ack_message(1, [2, 3]),
-            encode_result_message(
-                0,
-                [(1, TestResult(traces_checked=1), None)],
+            encode_verdict_message(
+                TestResult(traces_checked=1), ["respawned"],
                 registry=registry,
             ),
         ]

@@ -1,36 +1,30 @@
-"""Cross-transport equivalence and the adaptive batcher.
+"""The process backend's queue channel and the adaptive batcher.
 
-The transport (queue vs shm) and the wire codec it implies (pickle vs
-binary) are pure plumbing: verdicts, engine counter totals, and
-recovery diagnostics must be identical across both on the same input,
-with chaos faults recovered the same way.  The adaptive batcher
-must never change results either — only how many traces share an IPC
-message.
+The channel (a ``multiprocessing.Queue`` carrying pickled tuple wires)
+is pure plumbing: verdicts, engine counter totals, and recovery
+diagnostics must match the inline reference on the same input, with
+chaos faults recovered.  The adaptive batcher must never change
+results either — only how many traces share an IPC message.
 """
-
-import multiprocessing
-import time
 
 import pytest
 
+from repro.core.api import PMTestSession
 from repro.core.backends import (
     AdaptiveBatch,
-    CheckingFailed,
     DEFAULT_BATCH_SIZE,
     MAX_BATCH_SIZE,
     ProcessBackend,
-    resolve_transport_name,
+    make_backend,
 )
+from repro.core.capi import PMTest_INIT
 from repro.core.events import Event, Op, Trace
 from repro.core.faults import FaultKind, FaultPlan, FaultPoint, FaultRule
-from repro.core.kfifo import FifoClosed, ShmKernelFifo
 from repro.core.metrics import MetricsLevel, MetricsRegistry
 from repro.core.traceio import encode_result
 from repro.core.workers import WorkerPool
+from repro.daemon import CheckingServer
 from repro.pmfs.kernel import KernelBridge
-
-#: Every transport with the wire codec it implies.
-COMBOS = [("queue", "pickle"), ("shm", "binary")]
 
 
 def bad_trace(trace_id: int) -> Trace:
@@ -60,14 +54,8 @@ def inline_reference(traces) -> tuple:
         return encode_result(pool.drain())
 
 
-def run_combo(traces, transport, codec, *, metrics=None, **kwargs):
-    backend = ProcessBackend(
-        num_workers=kwargs.pop("num_workers", 1),
-        transport=transport,
-        metrics=metrics,
-        **kwargs,
-    )
-    assert backend.codec == codec
+def run_process(traces, **kwargs):
+    backend = ProcessBackend(num_workers=1, **kwargs)
     try:
         for trace in traces:
             backend.submit(trace)
@@ -77,57 +65,32 @@ def run_combo(traces, transport, codec, *, metrics=None, **kwargs):
 
 
 class TestTransportConfig:
-    def test_default_is_queue(self, monkeypatch):
-        monkeypatch.delenv("PMTEST_TRANSPORT", raising=False)
-        assert resolve_transport_name(None) == "queue"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("PMTEST_TRANSPORT", "shm")
-        assert resolve_transport_name(None) == "shm"
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("PMTEST_TRANSPORT", "shm")
-        assert resolve_transport_name("queue") == "queue"
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError, match="transport"):
-            resolve_transport_name("carrier-pigeon")
-
-    def test_shm_requires_binary_codec(self):
-        """The codec is derived from the transport and read-only."""
-        backend = ProcessBackend(num_workers=1, transport="shm")
-        try:
-            assert backend.codec == "binary"
-            with pytest.raises(AttributeError):
-                backend.codec = "pickle"
-        finally:
-            backend.stop()
+    """The process backend has one channel, so there is nothing to
+    configure: codec and transport knobs are refused."""
 
     def test_unknown_codec_rejected(self):
-        """There is no codec knob to pass: the transport picks it."""
+        """There is no codec knob to pass: the queue pickles."""
         with pytest.raises(TypeError, match="codec"):
             ProcessBackend(num_workers=1, codec="binary")
         with pytest.raises(TypeError, match="codec"):
             WorkerPool(num_workers=1, backend="process", codec="binary")
 
-    def test_native_codec_defaults(self, monkeypatch):
-        monkeypatch.delenv("PMTEST_TRANSPORT", raising=False)
-        queue_backend = ProcessBackend(num_workers=1)
-        try:
-            assert queue_backend.transport == "queue"
-            assert queue_backend.codec == "pickle"
-        finally:
-            queue_backend.stop()
-        shm_backend = ProcessBackend(num_workers=1, transport="shm")
-        try:
-            assert shm_backend.codec == "binary"
-        finally:
-            shm_backend.stop()
-
-    def test_pool_transport_property(self):
-        with WorkerPool(num_workers=0) as pool:
-            pool.drain()
-            assert pool.transport == "queue"  # inline never ships bytes
+    @pytest.mark.parametrize("build", [
+        lambda: ProcessBackend(num_workers=1, transport="queue"),
+        lambda: make_backend("process", transport="queue"),
+        lambda: WorkerPool(num_workers=1, backend="process",
+                           transport="queue"),
+        lambda: PMTestSession(workers=0, transport="queue"),
+        lambda: PMTest_INIT(workers=0, transport="queue"),
+        lambda: KernelBridge(num_workers=0, transport="queue"),
+        lambda: CheckingServer(uds="/nonexistent.sock", transport="queue"),
+    ], ids=["backend", "make_backend", "pool", "session", "capi",
+            "bridge", "server"])
+    def test_transport_knob_refused(self, build):
+        """The process backend has one channel; no layer takes a
+        ``transport=`` argument any more."""
+        with pytest.raises(TypeError, match="transport"):
+            build()
 
 
 class TestAdaptiveBatch:
@@ -172,21 +135,18 @@ class TestAdaptiveBatch:
         assert batch.size == DEFAULT_BATCH_SIZE
 
 
-class TestCrossTransportEquality:
-    @pytest.mark.parametrize("transport,codec", COMBOS)
-    def test_verdicts_bit_identical(self, transport, codec):
+class TestProcessChannelEquality:
+    def test_verdicts_bit_identical(self):
         traces = mixed_traces(12)
-        result = run_combo(traces, transport, codec, batch_size=3)
+        result = run_process(traces, batch_size=3)
         assert encode_result(result) == inline_reference(traces)
 
-    @pytest.mark.parametrize("transport,codec", COMBOS)
-    def test_adaptive_batching_matches_pinned(self, transport, codec):
+    def test_adaptive_batching_matches_pinned(self):
         traces = mixed_traces(12)
-        adaptive = run_combo(traces, transport, codec)  # batch_size=None
+        adaptive = run_process(traces)  # batch_size=None
         assert encode_result(adaptive) == inline_reference(traces)
 
-    @pytest.mark.parametrize("transport,codec", COMBOS)
-    def test_engine_counters_identical(self, transport, codec):
+    def test_engine_counters_identical(self):
         traces = mixed_traces(8)
         reference = MetricsRegistry(MetricsLevel.FULL)
         with WorkerPool(num_workers=0, metrics=reference) as pool:
@@ -196,10 +156,7 @@ class TestCrossTransportEquality:
             ref_snap = pool.metrics_snapshot()
 
         registry = MetricsRegistry(MetricsLevel.FULL)
-        backend = ProcessBackend(
-            num_workers=1, transport=transport, metrics=registry
-        )
-        assert backend.codec == codec
+        backend = ProcessBackend(num_workers=1, metrics=registry)
         try:
             for trace in traces:
                 backend.submit(trace)
@@ -216,21 +173,13 @@ class TestCrossTransportEquality:
                 name
             ), name
 
-    @pytest.mark.parametrize("transport,codec", COMBOS)
-    def test_worker_crash_recovery(self, transport, codec):
-        """A crashed worker is respawned and its traces requeued the
-        same way on every transport."""
+    def test_worker_crash_recovery(self):
+        """A crashed worker is respawned and its traces requeued."""
         traces = mixed_traces(10)
         plan = FaultPlan(
             rules=[FaultRule(FaultPoint.WORKER_BATCH, FaultKind.CRASH, at=0)]
         )
-        backend = ProcessBackend(
-            num_workers=1,
-            batch_size=2,
-            transport=transport,
-            faults=plan,
-        )
-        assert backend.codec == codec
+        backend = ProcessBackend(num_workers=1, batch_size=2, faults=plan)
         try:
             for trace in traces:
                 backend.submit(trace)
@@ -239,27 +188,6 @@ class TestCrossTransportEquality:
             backend.stop()
         assert encode_result(result) == inline_reference(traces)
         assert any("respawned" in d for d in result.diagnostics)
-
-    def test_corrupt_wire_fails_typed_under_shm(self):
-        """The CORRUPT chaos fault has a binary-codec spelling (a poison
-        opcode) that must surface exactly like the tuple truncation."""
-        plan = FaultPlan(
-            rules=[FaultRule(FaultPoint.WIRE_ENCODE, FaultKind.CORRUPT, at=0)]
-        )
-        pool = WorkerPool(
-            num_workers=1,
-            backend="process",
-            transport="shm",
-            batch_size=1,
-            faults=plan,
-        )
-        try:
-            for trace in mixed_traces(3):
-                pool.submit(trace)
-            with pytest.raises(CheckingFailed, match="TraceDecodeError"):
-                pool.drain()
-        finally:
-            pool._backend.stop()
 
 
 class TestZeroWireBytes:
@@ -280,93 +208,28 @@ class TestZeroWireBytes:
             if name.startswith("codec."):
                 assert value == 0, f"{backend} moved wire bytes: {name}"
 
-    def test_binary_codec_counts_wire_bytes(self):
+    def test_process_backend_counts_wire_bytes(self):
+        """At full metrics the process backend meters the pickled task
+        batches it ships."""
         registry = MetricsRegistry(MetricsLevel.FULL)
         traces = mixed_traces(6)
-        backend = ProcessBackend(
-            num_workers=1, transport="shm", metrics=registry
-        )
+        backend = ProcessBackend(num_workers=1, metrics=registry)
         try:
             for trace in traces:
                 backend.submit(trace)
             backend.drain()
-            merged = MetricsRegistry(MetricsLevel.FULL)
-            merged.merge(registry)
-            for remote in backend.metrics_registries():
-                merged.merge(remote)
         finally:
             backend.stop()
-        assert merged.counter_value("codec.task_bytes") > 0
-        assert merged.counter_value("codec.task_traces") == len(traces)
-        assert merged.counter_value("codec.result_bytes") > 0
-        # Workers saw exactly what the submitter shipped.
-        assert merged.counter_value("codec.worker_task_bytes") == (
-            merged.counter_value("codec.task_bytes")
-        )
+        assert registry.counter_value("codec.task_bytes") > 0
+        assert registry.counter_value("codec.task_traces") == len(traces)
 
 
-class TestShmKernelFifo:
-    def test_traces_roundtrip(self):
-        fifo = ShmKernelFifo(capacity=16)
-        try:
-            traces = mixed_traces(5)
-            for trace in traces:
-                fifo.put(trace)
-            assert len(fifo) == 5
-            assert [fifo.get() for _ in range(5)] == traces
-        finally:
-            fifo.release()
-
-    def test_byte_space_parks_producer(self):
-        """A ring too small for the outstanding records parks the
-        producer even though the entry budget has room."""
-        fifo = ShmKernelFifo(capacity=1024, ring_bytes=64)
-        try:
-            fifo.put(good_trace(0))
-            with pytest.raises(TimeoutError):
-                fifo.put(good_trace(1), timeout=0.05)
-            fifo.get()
-            fifo.put(good_trace(1), timeout=1.0)  # freed bytes admit it
-        finally:
-            fifo.release()
-
-    def test_close_wakes_parked_producer(self):
-        import threading
-
-        fifo = ShmKernelFifo(capacity=1024, ring_bytes=64)
-        fifo.put(good_trace(0))
-
-        def close_soon():
-            time.sleep(0.05)
-            fifo.close()
-
-        t = threading.Thread(target=close_soon)
-        t.start()
-        with pytest.raises(FifoClosed):
-            fifo.put(good_trace(1), timeout=5.0)
-        t.join()
-        fifo.release()
-
-    def test_oversized_trace_fails_fast(self):
-        fifo = ShmKernelFifo(capacity=4, ring_bytes=32)
-        try:
-            big = Trace(0)
-            for i in range(16):
-                big.append(Event(Op.WRITE, i * 64, 8))
-            with pytest.raises(ValueError, match="cannot fit"):
-                fifo.put(big)
-        finally:
-            fifo.release()
-
-    def test_bridge_end_to_end_matches_queue_bridge(self):
+class TestKernelBridge:
+    def test_bridge_matches_inline_reference(self):
+        """Traces that cross the bounded kernel FIFO (small enough to
+        park the producer) check byte-identically to inline."""
         traces = mixed_traces(8)
-        results = []
-        for transport in ("queue", "shm"):
-            bridge = KernelBridge(
-                num_workers=1, transport=transport, fifo_capacity=4
-            )
-            for trace in traces:
-                bridge.submit(trace)
-            results.append(encode_result(bridge.close()))
-        assert results[0] == results[1]
-        assert results[0] == inline_reference(traces)
+        bridge = KernelBridge(num_workers=1, fifo_capacity=4)
+        for trace in traces:
+            bridge.submit(trace)
+        assert encode_result(bridge.close()) == inline_reference(traces)

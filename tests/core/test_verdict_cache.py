@@ -8,8 +8,7 @@ Three layers of guarantees under test:
   source sites, counts and metadata — over constructed traces, random
   traces, and the full injected-bug corpus;
 * the pipeline-level guarantee that per-worker caches in every backend
-  and transport change nothing observable except the ``cache.*``
-  counters.
+  change nothing observable except the ``cache.*`` counters.
 """
 
 import pytest
@@ -425,7 +424,7 @@ def test_cache_differential_over_bug_corpus():
 
 
 # ----------------------------------------------------------------------
-# Pipeline-level equivalence: backends and transports
+# Pipeline-level equivalence across backends
 # ----------------------------------------------------------------------
 def _pipeline_traces():
     traces = []
@@ -440,22 +439,16 @@ def _pipeline_traces():
 
 
 @pytest.mark.parametrize(
-    "backend,workers,transport",
-    [
-        ("inline", 0, None),
-        ("thread", 2, None),
-        ("process", 2, "queue"),
-        ("process", 2, "shm"),
-    ],
+    "backend,workers",
+    [("inline", 0), ("thread", 2), ("process", 2)],
 )
-def test_cache_on_off_identical_across_backends(backend, workers, transport):
+def test_cache_on_off_identical_across_backends(backend, workers):
     traces = _pipeline_traces()
     encoded = {}
     for cache_on in (False, True):
         with WorkerPool(
             num_workers=workers,
             backend=backend,
-            transport=transport,
             verdict_cache=cache_on,
             verdict_cache_size=4,
         ) as pool:

@@ -4,8 +4,7 @@ The acceptance story: under sustained submission beyond the admission
 budget the daemon sheds/queues per policy, keeps admitted-but-unchecked
 bytes bounded, and never returns a wrong verdict — and a chaos-killed
 session leaves the server healthy while surviving sessions' verdicts
-stay byte-identical to library mode across the backend x transport
-matrix.
+stay byte-identical to library mode on every backend.
 """
 
 import time
@@ -140,14 +139,7 @@ class TestOverload:
 MATRIX = [
     pytest.param({"workers": 0}, id="inline"),
     pytest.param({"workers": 2, "backend": "thread"}, id="thread"),
-    pytest.param(
-        {"workers": 1, "backend": "process", "transport": "queue"},
-        id="process-queue",
-    ),
-    pytest.param(
-        {"workers": 1, "backend": "process", "transport": "shm"},
-        id="process-shm",
-    ),
+    pytest.param({"workers": 1, "backend": "process"}, id="process"),
 ]
 
 
@@ -165,7 +157,6 @@ class TestChaosSessionKill:
         pool_kwargs = {
             "num_workers": config.get("workers", 0),
             "backend": config.get("backend"),
-            "transport": config.get("transport"),
         }
         expected = verdict_key(
             library_verdict(survivor_traces, **pool_kwargs)

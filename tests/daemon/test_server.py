@@ -8,7 +8,13 @@ import time
 import pytest
 
 from repro.core.api import PMTestSession
-from repro.core.traceio import decode_message, encode_stop_message
+from repro.core.traceio import (
+    BINARY_MAGIC,
+    BINARY_VERSION,
+    decode_message,
+    encode_bye_message,
+    encode_hello_message,
+)
 from repro.daemon import (
     AdmissionPolicy,
     CheckingClient,
@@ -172,12 +178,39 @@ class TestSessionErrors:
             sock.settimeout(5.0)
             sock.connect(uds_path)
             try:
-                write_frame(sock, encode_stop_message())
+                write_frame(sock, encode_bye_message())
                 message = decode_message(read_frame(sock))
                 assert message[0] == "error"
                 assert "expected hello" in message[1]
             finally:
                 sock.close()
+
+    @pytest.mark.parametrize("kind", [2, 3, 4, 5])
+    def test_retired_kind_frames_get_error(self, uds_path, kind):
+        """Kinds 2-5 (an old process-backend channel) are unassigned:
+        as a handshake or a mid-session frame they draw an ERROR frame,
+        never a hang, and the server keeps serving."""
+        frame = BINARY_MAGIC + bytes([BINARY_VERSION, kind, 0, 0])
+        with start_in_thread(uds=uds_path, workers=0):
+            for handshake in (True, False):
+                sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                sock.settimeout(5.0)
+                sock.connect(uds_path)
+                try:
+                    if not handshake:
+                        write_frame(sock, encode_hello_message("t"))
+                        assert decode_message(read_frame(sock))[0] == (
+                            "welcome"
+                        )
+                    write_frame(sock, frame)
+                    message = decode_message(read_frame(sock))
+                    assert message[0] == "error"
+                    assert "unknown binary message kind" in message[1]
+                finally:
+                    sock.close()
+            client = CheckingClient(f"unix://{uds_path}")
+            client.submit(make_traces(1)[0])
+            assert client.close().traces_checked == 1
 
     def test_undecodable_frame_aborts_but_server_survives(self, uds_path):
         with start_in_thread(uds=uds_path, workers=0) as handle:
@@ -209,7 +242,6 @@ class TestSessionErrors:
             CheckingClient(f"unix://{uds_path}").close()
 
     def test_mid_frame_disconnect_aborts_session(self, uds_path):
-        from repro.core.traceio import encode_hello_message
         from repro.daemon.protocol import FRAME_HEADER
 
         with start_in_thread(uds=uds_path, workers=0) as handle:

@@ -311,6 +311,87 @@ class TestHttpEndpoint:
             _, body = self._get(address, "/metrics")
             assert "pmtest_engine_traces 5" in body
 
+    def test_three_surfaces_agree_once_close_returns(
+        self, uds_path, capsys
+    ):
+        """Once close() returns, the /metrics scrape, ``repro stats
+        --connect`` and the client's metrics_snapshot() report the same
+        daemon and stage totals for the session."""
+        from repro.cli import main
+
+        traces = make_traces(7)
+        with start_in_thread(
+            uds=uds_path, workers=0,
+            metrics=MetricsRegistry(MetricsLevel.FULL),
+            http_host="127.0.0.1", http_port=0,
+        ) as handle:
+            client = CheckingClient(
+                f"unix://{uds_path}", tenant="acme", batch_size=3,
+                metrics=MetricsRegistry(MetricsLevel.FULL),
+            )
+            for trace in traces:
+                client.submit(trace)
+            client.close()
+            snapshot = client.metrics_snapshot()
+            _, body = self._get(handle.server.http_address, "/metrics")
+            assert main(["stats", "--connect", f"unix://{uds_path}"]) == 0
+            stats = json.loads(capsys.readouterr().out)
+
+        scraped = {}
+        for line in body.splitlines():
+            name, value = line.rsplit(" ", 1)
+            scraped.setdefault(name, set()).add(int(float(value)))
+
+        def one(name):
+            values = scraped[name]
+            assert len(values) == 1, (name, values)
+            return next(iter(values))
+
+        acme = stats["tenants"]["acme"]
+        assert (
+            len(traces)
+            == snapshot.counter_value("engine.traces")
+            == one("pmtest_daemon_traces")
+            == one("pmtest_daemon_traces_accepted")
+            == one('pmtest_daemon_tenant_traces{tenant="acme"}')
+            == stats["traces_accepted"]
+            == acme["traces"]
+        )
+        assert (
+            snapshot.counter_value("client.frames_sent")
+            == one("pmtest_daemon_frames_admitted")
+            == stats["admission"]["frames_admitted"]
+            == acme["frames_admitted"]
+        )
+        assert (
+            snapshot.counter_value("client.bytes_sent")
+            == one("pmtest_daemon_bytes_admitted")
+            == stats["admission"]["bytes_admitted"]
+            == acme["bytes_admitted"]
+        )
+        assert (
+            snapshot.counter_value("stage.drain.count")
+            == one("pmtest_daemon_drains")
+            == 1
+        )
+        # ``stats --connect`` is itself a session, still open while it
+        # reads the payload.
+        assert one("pmtest_daemon_sessions") == one(
+            "pmtest_daemon_sessions_served"
+        ) == 1
+        assert stats["sessions"]["served"] - stats["sessions"]["active"] == 1
+        stage = {
+            name: value for name, value in snapshot.counters().items()
+            if name.startswith("stage.")
+        }
+        assert stage
+        assert {
+            name: one("pmtest_" + name.replace(".", "_")) for name in stage
+        } == stage
+        assert {
+            name for name in scraped if name.startswith("pmtest_stage_")
+        } == {"pmtest_" + name.replace(".", "_") for name in stage}
+
     def test_http_listener_closes_with_server(self, uds_path):
         with start_in_thread(
             uds=uds_path, workers=0,
